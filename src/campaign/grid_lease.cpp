@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <span>
 #include <system_error>
 
 #include "support/failpoints.h"
@@ -21,6 +22,19 @@ constexpr std::uint32_t kLeaseMagic = 0x49524C53;  // "IRLS"
 void count_lease(const char* name) {
   auto& reg = support::metrics();
   reg.add(reg.counter_id(name));
+}
+
+/// The protocol's atomic claim primitive: create `path` holding
+/// `payload` iff it does not exist yet. The bytes are published whole
+/// (temp file + link), so a racing reader never sees the empty or
+/// partial file an O_EXCL create-then-write leaves in its window — for
+/// grid.meta that window read as "a different campaign" (error 73).
+bool exclusive_create(const std::string& path,
+                      std::span<const std::uint8_t> payload) {
+  const fs::path target(path);
+  const auto won = link_file_exclusive(target.parent_path(),
+                                       target.filename().string(), payload);
+  return won.ok() && won.value();
 }
 
 /// Every successful range acquisition, tagged with how it was won.
@@ -52,7 +66,7 @@ void serialize_lease(const GridLeaseConfig& config, std::size_t range,
 }
 
 /// Shard id stored in a lease file; empty when the file is unreadable
-/// or torn (a torn lease still counts as held until it goes stale).
+/// or corrupt (such a lease still counts as held until it goes stale).
 std::string lease_owner(const std::string& path) {
   auto bytes = read_file_bytes(path);
   if (!bytes.ok()) return {};
@@ -125,12 +139,13 @@ Result<std::unique_ptr<GridLease>> GridLease::open(const GridLeaseConfig& config
   if (ec) return Error{72, "cannot create lease dir " + config.dir};
 
   // Pin the campaign identity and grid geometry. Exactly one shard wins
-  // the exclusive create; everyone else validates what it wrote.
+  // the exclusive create; everyone else validates what it wrote — which
+  // is whole by then, since the create publishes complete bytes.
   ByteWriter meta;
   serialize_meta(config, meta);
   const std::string meta_path = (fs::path(config.dir) / "grid.meta").string();
   std::unique_ptr<GridLease> lease(new GridLease(config));
-  if (!lease->exclusive_create(meta_path, meta.data())) {
+  if (!exclusive_create(meta_path, meta.data())) {
     auto bytes = read_file_bytes(meta_path);
     if (!bytes.ok() || bytes.value() != meta.data()) {
       return Error{73, meta_path +
@@ -139,18 +154,6 @@ Result<std::unique_ptr<GridLease>> GridLease::open(const GridLeaseConfig& config
     }
   }
   return lease;
-}
-
-bool GridLease::exclusive_create(const std::string& path,
-                                 std::span<const std::uint8_t> payload) {
-  // "wbx" = O_CREAT | O_EXCL: the atomic claim primitive. The payload
-  // lands after the create; a shard killed inside this window leaves a
-  // torn lease that simply expires like any other.
-  std::FILE* f = std::fopen(path.c_str(), "wbx");
-  if (f == nullptr) return false;
-  std::fwrite(payload.data(), 1, payload.size(), f);
-  std::fclose(f);
-  return true;
 }
 
 bool GridLease::acquire(std::size_t range) {

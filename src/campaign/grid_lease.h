@@ -8,8 +8,11 @@
 //   grid.meta      exclusive-created once; pins (fingerprint, cell
 //                  count, range size) so shards of different campaigns
 //                  or disagreeing geometries cannot share a directory.
-//   lease-<r>.lock claim on range r. Acquired by exclusive create
-//                  (fopen "wbx" — atomic on POSIX), refreshed by mtime
+//                  Every exclusive create publishes whole bytes (temp
+//                  file hard-linked into place; EEXIST = lost the race),
+//                  so no racer ever reads a half-written file.
+//   lease-<r>.lock claim on range r. Acquired by exclusive create,
+//                  refreshed by mtime
 //                  heartbeat while the shard works, adopted instantly
 //                  when the stored shard id matches ours (a relaunched
 //                  shard picks up its own leases without waiting), and
@@ -33,7 +36,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -135,10 +137,8 @@ class GridLease final : public fuzz::CellGate {
   }
   [[nodiscard]] std::size_t range_len(std::size_t range) const noexcept;
 
-  // All three run under mutex_.
+  // Both run under mutex_.
   bool acquire(std::size_t range);
-  bool exclusive_create(const std::string& path,
-                        std::span<const std::uint8_t> payload);
   void publish_done(std::size_t range);
 
   GridLeaseConfig config_;

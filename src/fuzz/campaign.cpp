@@ -1,6 +1,7 @@
 #include "fuzz/campaign.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -14,6 +15,7 @@
 #include <new>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <thread>
 
 #include <poll.h>
@@ -37,11 +39,19 @@
 namespace iris::fuzz {
 namespace {
 
+using Clock = std::chrono::steady_clock;
+using Coverage = std::vector<std::pair<hv::BlockKey, std::uint8_t>>;
+
 /// Frame magic on the sandbox result pipe ("IRSB"): magic u32, payload
 /// length u32, fnv1a(payload) u64, payload (a serialized
 /// CheckpointCell). Anything else — short read, bad checksum, trailing
 /// bytes — is a kProtocol harness fault, never a crash.
 constexpr std::uint32_t kSandboxFrameMagic = 0x49525342;
+
+double us_since(Clock::time_point start) {
+  return std::chrono::duration<double, std::micro>(Clock::now() - start)
+      .count();
+}
 
 /// One cell's throwaway VM stack (the reuse_vm_stacks == false path).
 /// Construction is a pure function of config; naively reusing a manager
@@ -51,8 +61,6 @@ constexpr std::uint32_t kSandboxFrameMagic = 0x49525342;
 /// provably reconstructs this exact post-construction state
 /// (hv::state_digest equality, asserted in debug builds).
 struct CellVm {
-  explicit CellVm(const CampaignConfig& config)
-      : CellVm(config, vtx::baseline_profile()) {}
   CellVm(const CampaignConfig& config, const vtx::VmxCapabilityProfile& profile)
       : hv(config.hv_seed, config.async_noise_prob, profile), manager(hv) {}
 
@@ -65,9 +73,8 @@ struct CellVm {
 /// instrument themselves under kIris; filter them exactly as
 /// ExitCoverage does, so the merged bitmap stays comparable to the
 /// per-cell Table I numbers.
-std::vector<std::pair<hv::BlockKey, std::uint8_t>> cell_coverage(
-    const hv::CoverageMap& cov) {
-  std::vector<std::pair<hv::BlockKey, std::uint8_t>> blocks;
+Coverage cell_coverage(const hv::CoverageMap& cov) {
+  Coverage blocks;
   blocks.reserve(cov.registered_blocks().size());
   for (const hv::BlockKey block : cov.registered_blocks()) {
     if (hv::block_component(block) == hv::Component::kIris) continue;
@@ -76,40 +83,32 @@ std::vector<std::pair<hv::BlockKey, std::uint8_t>> cell_coverage(
   return blocks;
 }
 
-/// Metric ids used by the runner, registered once per run (registration
-/// is the cold path; every hot-side touch is an id-indexed relaxed add
-/// on a per-thread shard).
-struct CampaignMetrics {
-  support::MetricsRegistry& reg = support::metrics();
-  support::MetricId cells_done = reg.counter_id("campaign.cells_done");
-  support::MetricId cells_resumed = reg.counter_id("campaign.cells_resumed");
-  support::MetricId cells_poisoned = reg.counter_id("campaign.cells_poisoned");
-  support::MetricId harness_faults = reg.counter_id("campaign.harness_faults");
-  support::MetricId cell_retries = reg.counter_id("campaign.cell_retries");
-  support::MetricId rlimit_kills = reg.counter_id("cell.rlimit_kills");
-  support::MetricId model_faults = reg.counter_id("fuzz.model_faults");
-  support::MetricId reprobes = reg.counter_id("poison.reprobes");
-  support::MetricId rehabilitated = reg.counter_id("poison.rehabilitated");
-  support::MetricId forensics = reg.counter_id("forensics.written");
-  support::MetricId mutants = reg.counter_id("campaign.mutants");
-  support::MetricId pool_rebuilds = reg.counter_id("pool.rebuilds");
-  support::MetricId sandbox_cell_us = reg.histogram_id("sandbox.cell_us");
-  support::MetricId cell_us = reg.histogram_id("campaign.cell_us");
-};
-
 /// Resource limits one forked sandbox child runs under. The watchdog
 /// deadline rides along so the re-probe pass can degrade all of them
-/// coherently (a probe gets half the deadline, half the CPU budget).
+/// coherently.
 struct SandboxLimits {
   double deadline_seconds = 0.0;
   std::uint64_t cpu_seconds = 0;  ///< RLIMIT_CPU; 0 = off
   std::uint64_t as_mb = 0;        ///< RLIMIT_AS; 0 = off
   std::int64_t core_mb = -1;      ///< RLIMIT_CORE; -1 = inherit
+
+  /// The re-probe's degraded profile: half the deadline and CPU budget,
+  /// floored at one second.
+  [[nodiscard]] SandboxLimits degraded() const {
+    SandboxLimits out = *this;
+    if (deadline_seconds > 0) {
+      out.deadline_seconds = std::max(1.0, deadline_seconds / 2);
+    }
+    if (cpu_seconds > 0) {
+      out.cpu_seconds = std::max<std::uint64_t>(1, cpu_seconds / 2);
+    }
+    return out;
+  }
 };
 
 /// Child-side rlimit installation, between fork() and the cell body.
 /// Failures are deliberately ignored (a host that refuses a tighter
-/// limit leaves the child exactly as contained as before this PR); the
+/// limit leaves the child exactly as contained as without one); the
 /// CPU hard limit sits one second above the soft one so the kill is a
 /// classifiable SIGXCPU, not a blunt SIGKILL.
 void apply_child_rlimits(const SandboxLimits& limits) {
@@ -136,78 +135,218 @@ void apply_child_rlimits(const SandboxLimits& limits) {
   }
 }
 
-/// Live status publication (CampaignConfig::status_path / on_progress).
-/// A pure observer: it reads counters the work loop maintains anyway
-/// and publishes on a wall-clock cadence, so enabling it cannot change
-/// what any cell computes — the telemetry determinism tests assert
-/// exactly that.
-class StatusBoard {
+// --- Campaign events ---------------------------------------------------
+
+/// The closed set of things a run reports. Every per-run tally, registry
+/// metric, status-file count and trace event of the runner derives from
+/// one CampaignEvent handed to CampaignEvents::emit().
+enum class EventKind : std::uint8_t {
+  kCellStart, kCellDone, kHarnessFault, kModelFault, kRetry, kQuarantine,
+  kReprobe, kForensics, kSyncEpoch, kDegrade, kResumed,
+};
+constexpr std::size_t kEventKinds =
+    static_cast<std::size_t>(EventKind::kResumed) + 1;
+
+/// Trace event name and same-named registry counter of each kind, in
+/// EventKind order (nullptr = none; `resumed` is counted, never traced).
+constexpr std::array<std::array<const char*, 2>, kEventKinds> kEventNames = {{
+    {"cell_start", nullptr},
+    {"cell_done", "campaign.cells_done"},
+    {"harness_fault", "campaign.harness_faults"},
+    {"model_fault", "fuzz.model_faults"},
+    {"retry", "campaign.cell_retries"},
+    {"quarantine", "campaign.cells_poisoned"},
+    {"reprobe", "poison.reprobes"},
+    {"forensics", "forensics.written"},
+    {"sync_epoch", nullptr},
+    {"degrade", nullptr},
+    {nullptr, "campaign.cells_resumed"},
+}};
+
+/// Per-run tallies beyond the one-per-kind event counts.
+constexpr std::size_t kTallyMutants = kEventKinds;
+constexpr std::size_t kTallyRlimitKills = kEventKinds + 1;
+constexpr std::size_t kTallyRehabilitated = kEventKinds + 2;
+constexpr std::size_t kTallies = kEventKinds + 3;
+
+constexpr std::size_t kIdle = ~std::size_t{0};
+
+/// One event; each kind reads only the fields its comment names.
+struct CampaignEvent {
+  EventKind kind = EventKind::kCellStart;
+  std::size_t cell = 0;
+  /// In-flight slot a cell_start takes and a cell_done/quarantine frees.
+  std::size_t worker = kIdle;
+  /// harness_fault/retry/forensics: attempt number; quarantine/reprobe:
+  /// attempts so far.
+  std::size_t attempt = 0;
+  std::size_t round = 0;  ///< reprobe: round; sync_epoch: epoch
+  /// resumed: cells; forensics: crumbs; sync_epoch: imports.
+  std::size_t count = 0;
+  /// cell_done and a rehabilitating reprobe: the committed result.
+  const TestCaseResult* result = nullptr;
+  /// harness_fault, model_fault, quarantine, a re-poisoning reprobe.
+  const HarnessFault* fault = nullptr;
+  double wall_us = 0.0;     ///< cell_done: the whole cell incl. retries
+  double backoff_ms = 0.0;  ///< retry
+  /// harness_fault / cell_done of a sandboxed grid-pass attempt: its
+  /// fork + run + reap latency (0 = not measured).
+  double attempt_us = 0.0;
+  std::string_view error = {};  ///< degrade
+};
+
+/// The one emit: per-run tallies (the only source of CampaignResult's
+/// fault fields and of the status file), the registry, the trace
+/// stream, and the live status board with its in-flight slots. A pure
+/// observer: nothing here feeds back into what a cell computes, so the
+/// telemetry determinism tests hold by construction.
+class CampaignEvents {
  public:
-  static constexpr std::size_t kIdle = ~std::size_t{0};
-
-  StatusBoard(const CampaignConfig& config, std::size_t cells_total,
-              std::size_t workers)
+  CampaignEvents(const CampaignConfig& config, std::size_t cells_total,
+                 std::size_t workers)
       : config_(config), cells_total_(cells_total), in_flight_(workers) {
+    for (std::size_t k = 0; k < kEventKinds; ++k) {
+      const char* counter = kEventNames[k][1];
+      ids_[k] = counter ? reg_.counter_id(counter) : support::kInvalidMetric;
+    }
     for (auto& slot : in_flight_) slot.store(kIdle, std::memory_order_relaxed);
-    started_unix_ = campaign::wall_clock_unix();
-    started_ = std::chrono::steady_clock::now();
   }
 
-  [[nodiscard]] bool enabled() const noexcept {
-    return !config_.status_path.empty() || config_.on_progress != nullptr;
+  void emit(const CampaignEvent& e) {
+    const auto k = static_cast<std::size_t>(e.kind);
+    const std::size_t n = e.kind == EventKind::kResumed ? e.count : 1;
+    bump(k, ids_[k], n);
+    // cell_start takes its worker's in-flight slot; cell_done and
+    // quarantine free it.
+    if (e.worker < in_flight_.size()) {
+      const bool start = e.kind == EventKind::kCellStart;
+      in_flight_[e.worker].store(start ? e.cell : kIdle, std::memory_order_relaxed);
+    }
+    if (e.attempt_us > 0.0) reg_.observe(sandbox_cell_us_, e.attempt_us);
+    switch (e.kind) {
+      case EventKind::kCellDone:
+        bump(kTallyMutants, mutants_, e.result->executed);
+        reg_.observe(cell_us_, e.wall_us);
+        break;
+      case EventKind::kHarnessFault:
+        if (e.fault->kind == HarnessFault::Kind::kResourceExhausted) {
+          bump(kTallyRlimitKills, rlimit_kills_, 1);
+        }
+        break;
+      case EventKind::kReprobe:
+        if (e.fault == nullptr) {  // rehabilitated: a clean, journaled cell
+          bump(kTallyRehabilitated, rehabilitated_, 1);
+          bump(kTallyMutants, mutants_, e.result->executed);
+          reg_.add(cells_done_);
+        }
+        break;
+      case EventKind::kResumed:
+        reg_.add(cells_done_, n);
+        break;
+      default:
+        break;
+    }
+    if (kEventNames[k][0] != nullptr && support::trace_active()) {
+      support::trace(render(e));
+    }
   }
 
-  // Bumped by the work loop; relaxed is enough — publication is a
-  // monotonic progress report, not a synchronization point.
-  std::atomic<std::size_t> done{0};
-  std::atomic<std::size_t> resumed{0};
-  std::atomic<std::size_t> poisoned{0};
-  std::atomic<std::size_t> faults{0};
-  std::atomic<std::size_t> executed{0};
-
-  void set_in_flight(std::size_t worker, std::size_t cell) {
-    if (!enabled() || worker >= in_flight_.size()) return;
-    in_flight_[worker].store(cell, std::memory_order_relaxed);
+  [[nodiscard]] std::size_t tally(std::size_t t) const {
+    return tallies_[t].load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::size_t count(EventKind kind) const {
+    return tally(static_cast<std::size_t>(kind));
   }
 
   /// Workers call this between cells; publishes when the cadence is due.
-  void tick() {
-    if (!enabled()) return;
+  void tick() { publish(/*force=*/false); }
+  /// Unconditional publication (run start, after re-probe, run end).
+  void publish_now() { publish(/*force=*/true); }
+
+ private:
+  void bump(std::size_t t, support::MetricId id, std::size_t n) {
+    tallies_[t].fetch_add(n, std::memory_order_relaxed);
+    reg_.add(id, n);
+  }
+
+  static support::TraceEvent render(const CampaignEvent& e) {
+    support::TraceEvent t(kEventNames[static_cast<std::size_t>(e.kind)][0]);
+    if (e.kind == EventKind::kSyncEpoch) {
+      t.num("epoch", e.round).num("imports", e.count);
+      return t;
+    }
+    if (e.kind == EventKind::kDegrade) {
+      t.str("what", "checkpoint").str("error", e.error);
+      return t;
+    }
+    t.num("cell", e.cell);
+    switch (e.kind) {
+      case EventKind::kCellStart:
+        t.num("worker", e.worker);
+        break;
+      case EventKind::kCellDone:
+        t.num("executed", e.result->executed)
+            .num("vm_crashes", e.result->vm_crashes)
+            .num("hv_crashes", e.result->hv_crashes)
+            .num("wall_ms", e.wall_us / 1000.0);
+        break;
+      case EventKind::kHarnessFault:
+        t.num("attempt", e.attempt)
+            .num("kind", static_cast<double>(e.fault->kind))
+            .str("fault", e.fault->describe());
+        break;
+      case EventKind::kModelFault:
+        t.num("code", e.fault->detail).str("fault", e.fault->describe());
+        break;
+      case EventKind::kRetry:
+        t.num("attempt", e.attempt).num("backoff_ms", e.backoff_ms);
+        break;
+      case EventKind::kQuarantine:
+        t.num("attempts", e.attempt).str("fault", e.fault->describe());
+        break;
+      case EventKind::kReprobe:
+        t.num("round", e.round).num("attempts", e.attempt);
+        t.str("outcome", e.fault ? "repoisoned" : "rehabilitated");
+        if (e.fault) t.str("fault", e.fault->describe());
+        break;
+      case EventKind::kForensics:
+        t.num("attempt", e.attempt).num("crumbs", e.count);
+        t.str("file", campaign::forensic_file_name(e.cell));
+        break;
+      default:
+        break;
+    }
+    return t;
+  }
+
+  void publish(bool force) {
+    if (config_.status_path.empty() && config_.on_progress == nullptr) return;
     const std::lock_guard<std::mutex> lock(mutex_);
-    const auto now = std::chrono::steady_clock::now();
-    if (published_once_ &&
+    const auto now = Clock::now();
+    if (!force && published_once_ &&
         std::chrono::duration<double>(now - last_publish_).count() <
             config_.status_interval_seconds) {
       return;
     }
-    publish_locked();
-  }
-
-  /// Unconditional publication (run start and run end).
-  void publish_now() {
-    if (!enabled()) return;
-    const std::lock_guard<std::mutex> lock(mutex_);
-    publish_locked();
-  }
-
- private:
-  void publish_locked() {
     published_once_ = true;
-    last_publish_ = std::chrono::steady_clock::now();
+    last_publish_ = now;
     campaign::ShardStatus status;
-    status.shard_id =
-        config_.shard_label.empty() ? "local" : config_.shard_label;
+    status.shard_id = config_.shard_label.empty() ? "local" : config_.shard_label;
     status.pid = static_cast<std::uint64_t>(::getpid());
     status.started_unix = started_unix_;
     status.heartbeat_unix = campaign::wall_clock_unix();
     status.cells_total = cells_total_;
-    status.cells_done = done.load(std::memory_order_relaxed);
-    status.cells_resumed = resumed.load(std::memory_order_relaxed);
-    status.cells_poisoned = poisoned.load(std::memory_order_relaxed);
-    status.harness_faults = faults.load(std::memory_order_relaxed);
-    status.executed = executed.load(std::memory_order_relaxed);
-    status.elapsed_seconds =
-        std::chrono::duration<double>(last_publish_ - started_).count();
+    status.cells_resumed = count(EventKind::kResumed);
+    const std::size_t rehabilitated = tally(kTallyRehabilitated);
+    status.cells_done =
+        status.cells_resumed + count(EventKind::kCellDone) + rehabilitated;
+    // This run's quarantines, net of re-probe rehabilitations.
+    status.cells_poisoned =
+        count(EventKind::kQuarantine) -
+        std::min(count(EventKind::kQuarantine), rehabilitated);
+    status.harness_faults = count(EventKind::kHarnessFault);
+    status.executed = tally(kTallyMutants);
+    status.elapsed_seconds = std::chrono::duration<double>(now - started_).count();
     status.mutants_per_second =
         status.elapsed_seconds > 0.0
             ? static_cast<double>(status.executed) / status.elapsed_seconds
@@ -219,12 +358,12 @@ class StatusBoard {
     // The registry is process-global, so in a multi-run process the
     // counters are process totals — exactly what a fleet monitor wants
     // across a shard's claim passes.
-    const auto snap = support::metrics().snapshot();
-    status.counters = snap.counters;
-    status.gauges = snap.gauges;
+    auto snap = reg_.snapshot();
+    status.counters = std::move(snap.counters);
+    status.gauges = std::move(snap.gauges);
+    // Best-effort by contract: a sick status file must never sicken the
+    // campaign.
     if (!config_.status_path.empty()) {
-      // Best-effort by contract: a sick status file must never sicken
-      // the campaign.
       (void)campaign::write_status_file(config_.status_path, status);
     }
     if (config_.on_progress) config_.on_progress(status);
@@ -232,13 +371,819 @@ class StatusBoard {
 
   const CampaignConfig& config_;
   const std::size_t cells_total_;
+  support::MetricsRegistry& reg_ = support::metrics();
+  std::array<support::MetricId, kEventKinds> ids_{};
+  const support::MetricId cells_done_ = reg_.counter_id("campaign.cells_done");
+  const support::MetricId mutants_ = reg_.counter_id("campaign.mutants");
+  const support::MetricId rlimit_kills_ = reg_.counter_id("cell.rlimit_kills");
+  const support::MetricId rehabilitated_ = reg_.counter_id("poison.rehabilitated");
+  const support::MetricId cell_us_ = reg_.histogram_id("campaign.cell_us");
+  const support::MetricId sandbox_cell_us_ = reg_.histogram_id("sandbox.cell_us");
+  std::array<std::atomic<std::size_t>, kTallies> tallies_{};
   std::vector<std::atomic<std::size_t>> in_flight_;
-  double started_unix_ = 0.0;
-  std::chrono::steady_clock::time_point started_;
+  const double started_unix_ = campaign::wall_clock_unix();
+  const Clock::time_point started_ = Clock::now();
   std::mutex mutex_;
-  std::chrono::steady_clock::time_point last_publish_;
+  Clock::time_point last_publish_;
   bool published_once_ = false;
 };
+
+// --- Run state ---------------------------------------------------------
+
+/// What one run() shares between its driver, executor and policy.
+struct RunState {
+  explicit RunState(const std::vector<TestCaseSpec>& specs)
+      : grid(specs), done(specs.size(), 0), poisoned(specs.size(), 0),
+        forensic_written(specs.size(), 0), coverage(specs.size()) {
+    // Placeholder results of pending cells still carry their real spec,
+    // so partial-run reporting can label them.
+    out.results.resize(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) out.results[i].spec = specs[i];
+  }
+
+  /// First persistence failure wins; results stay valid in memory.
+  void note_error(const Status& status) {
+    const std::lock_guard<std::mutex> lock(error_mutex);
+    if (!status.ok() && out.persistence_error.empty()) {
+      out.persistence_error = status.error().message;
+    }
+  }
+
+  const std::vector<TestCaseSpec>& grid;
+  CampaignResult out;
+  // Per-cell flags. Cell i is touched only by the worker that owns it
+  // (fixed stride) and, before and after the grid pass, by the driver.
+  std::vector<char> done, poisoned, forensic_written;
+  std::vector<Coverage> coverage;
+  std::optional<campaign::CampaignCheckpoint> checkpoint;
+  bool sync_enabled = false;
+  std::uint32_t sync_epoch = 0;
+  std::vector<VmSeed> imports;
+  std::mutex error_mutex;
+};
+
+// --- Cell executor -------------------------------------------------------
+
+/// One attempt's inputs: which cell, fuzzing which recorded behavior, on
+/// which worker's stack and flight-recorder ring.
+struct CellJob {
+  std::size_t index;
+  const TestCaseSpec& spec;
+  const VmBehavior& behavior;
+  std::size_t worker;
+};
+
+/// Runs one attempt of one cell, in-process or in a forked sandbox
+/// child, and returns its fault (nullopt = clean). The only code that
+/// knows fork, pipes, the watchdog, rlimits and the IRSB/IRMF frames.
+/// Both paths share body(), which makes "clean sandboxed cell ≡
+/// in-process cell" a serialization round-trip property, not a hope.
+class CellExecutor {
+ public:
+  CellExecutor(const CampaignConfig& config, std::size_t workers,
+               const RunState& state)
+      : config_(config), state_(state) {
+    // Per-worker pooled VM stacks (the default): one Hypervisor/Manager
+    // per worker for the whole grid, reset to the post-construction
+    // state between cells. Slots are created lazily, so a fully-resumed
+    // run builds none.
+    if (config.reuse_vm_stacks) {
+      pool_.emplace(workers, config.hv_seed, config.async_noise_prob);
+    }
+    // One crash-surviving flight-recorder ring per worker, created
+    // BEFORE any fork so every sandbox child inherits its worker's
+    // MAP_SHARED mapping; the parent resets it per attempt and harvests
+    // it after any harness fault.
+    if (config.flight_recorder || !config.forensics_dir.empty()) {
+      for (std::size_t w = 0; w < workers; ++w) {
+        recorders_.push_back(std::make_unique<support::FlightRecorder>());
+      }
+    }
+  }
+
+  /// Record `workload` on first need, on the needing worker's own stack
+  /// (slot w belongs to worker w; the post-join phases use slot 0).
+  /// Recording is a pure function of (workload, config) — identical
+  /// bytes whichever worker records — so laziness cannot change results;
+  /// it only skips workloads this run never executes. Always on the
+  /// BASELINE profile: the capability matrix is record-once/replay-
+  /// everywhere, and body() re-resets the stack to the cell's profile.
+  const VmBehavior& behavior(guest::Workload workload, std::size_t worker) {
+    const std::lock_guard<std::mutex> lock(behaviors_mutex_);
+    auto it = behaviors_.find(workload);
+    if (it != behaviors_.end()) return it->second;
+    std::optional<CellVm> throwaway;
+    Manager* recorder = stack(worker, vtx::baseline_profile(), throwaway).second;
+    // Map references stay valid across inserts.
+    return behaviors_[workload] = recorder->record_workload(
+               workload, config_.record_exits, config_.record_seed);
+  }
+
+  /// One attempt. A clean result lands in *out (nullptr = discard: the
+  /// re-probe's canary). In-process attempts never fault — a dying cell
+  /// takes the process with it — but arm the worker's private ring, the
+  /// path the byte-identity matrix and the armed-overhead bench cover.
+  std::optional<HarnessFault> attempt(const CellJob& job,
+                                      const SandboxLimits& limits,
+                                      campaign::CheckpointCell* out) {
+    if (config_.sandbox_cells) return sandboxed(job, limits, out);
+    support::FlightRecorder* const ring = recorder(job.worker);
+    if (ring != nullptr) {
+      ring->reset();
+      ring->arm();
+    }
+    campaign::CheckpointCell run = body(job);
+    if (ring != nullptr) ring->disarm();
+    if (out != nullptr) *out = std::move(run);
+    return std::nullopt;
+  }
+
+  /// Re-establish a worker's pooled stack from scratch.
+  void rebuild(std::size_t worker) {
+    if (pool_) pool_->rebuild(worker);
+  }
+
+  [[nodiscard]] support::FlightRecorder* recorder(std::size_t worker) const {
+    return worker < recorders_.size() ? recorders_[worker].get() : nullptr;
+  }
+
+ private:
+  /// A stack for `profile`, from one of two sources: the worker's reset
+  /// pooled slot, or a throwaway CellVm (provably equivalent — see
+  /// PooledVm::reset).
+  std::pair<hv::Hypervisor*, Manager*> stack(
+      std::size_t worker, const vtx::VmxCapabilityProfile& profile,
+      std::optional<CellVm>& throwaway) {
+    if (!pool_) {
+      CellVm& vm = throwaway.emplace(config_, profile);
+      return {&vm.hv, &vm.manager};
+    }
+    PooledVm& slot = pool_->worker(worker);
+    slot.reset(profile);
+    return {&slot.hv(), &slot.manager()};
+  }
+
+  /// The one cell body, on a stack built for the cell's profile.
+  campaign::CheckpointCell body(const CellJob& job) {
+    std::optional<CellVm> throwaway;
+    const auto [cell_hv, manager] =
+        stack(job.worker, vtx::profile_by_id(job.spec.profile), throwaway);
+    Fuzzer fuzzer(*manager, config_.fuzzer);
+    TestCaseResult result = fuzzer.run_test_case(
+        job.spec, job.behavior, state_.imports,
+        state_.sync_enabled ? config_.import_mutants : 0);
+    return {job.index, state_.sync_epoch, std::move(result),
+            cell_coverage(cell_hv->coverage())};
+  }
+
+  /// Fork, run the body in the child, read the framed result back under
+  /// the watchdog. Fork safety: the behavior was recorded (and the
+  /// cell_exec failpoint evaluated) in the parent BEFORE forking, so the
+  /// child never takes behaviors_mutex_ or a journal lock another worker
+  /// could hold at fork time; the metrics registry guards its own locks
+  /// across fork, and the failpoint table is read lock-free.
+  std::optional<HarnessFault> sandboxed(const CellJob& job,
+                                        const SandboxLimits& limits,
+                                        campaign::CheckpointCell* out) {
+    std::optional<support::failpoints::Hit> injected;
+    if (support::failpoints::active()) {
+      injected = support::failpoints::evaluate("cell_exec", job.index);
+    }
+    // Fresh ring per attempt, cleared BEFORE the fork so a harvest after
+    // this attempt's death never shows a predecessor's crumbs.
+    support::FlightRecorder* const ring = recorder(job.worker);
+    if (ring != nullptr) ring->reset();
+    int fds[2];
+    if (::pipe(fds) != 0) {
+      return HarnessFault{HarnessFault::Kind::kProtocol, errno, {}};
+    }
+    const ::pid_t pid = ::fork();
+    if (pid < 0) {
+      ::close(fds[0]);
+      ::close(fds[1]);
+      return HarnessFault{HarnessFault::Kind::kProtocol, errno, {}};
+    }
+    if (pid == 0) {
+      ::close(fds[0]);
+      run_child(fds[1], job, limits, ring, injected);
+    }
+    ::close(fds[1]);
+    bool deadline_hit = false;
+    const std::vector<std::uint8_t> frame =
+        drain(fds[0], pid, limits.deadline_seconds, deadline_hit);
+    ::close(fds[0]);
+    int status = 0;
+    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+    }
+    if (auto fault = classify_exit(status, deadline_hit)) return fault;
+    return decode_frame(frame, job.index, out);
+  }
+
+  /// Child side: limits, armed ring, any injected fault, the body, then
+  /// the framed result down the pipe and _exit — never a return.
+  [[noreturn]] void run_child(
+      int fd, const CellJob& job, const SandboxLimits& limits,
+      support::FlightRecorder* ring,
+      const std::optional<support::failpoints::Hit>& injected) {
+    support::modelfault::set_sink_fd(fd);
+    apply_child_rlimits(limits);
+    // Arm the inherited MAP_SHARED ring: from here every breadcrumb the
+    // child drops is visible to the parent with no flush, however the
+    // child dies.
+    if (ring != nullptr) ring->arm();
+    // A cell_exec alloc= hit returns from execute_fatal and runs the cell
+    // under the injected memory pressure — the rlimit kill (or survival)
+    // is the behavior under test. Every other action dies here.
+    if (injected) support::failpoints::execute_fatal(*injected);
+    const support::modelfault::CellScope cell_scope(job.index);
+    ByteWriter payload;
+    campaign::serialize_checkpoint_cell(body(job), payload);
+    ByteWriter frame;
+    frame.u32(kSandboxFrameMagic);
+    frame.u32(static_cast<std::uint32_t>(payload.size()));
+    frame.u64(fnv1a(payload.data()));
+    frame.bytes(payload.data());
+    const auto& bytes = frame.data();
+    for (std::size_t off = 0; off < bytes.size();) {
+      const ::ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0) ::_exit(3);  // result undeliverable; parent records kExit
+      off += static_cast<std::size_t>(n);
+    }
+    ::_exit(0);
+  }
+
+  /// Parent side: read the pipe to EOF; past the deadline SIGKILL the
+  /// child and keep draining — EOF follows the death.
+  static std::vector<std::uint8_t> drain(int fd, ::pid_t pid,
+                                         double deadline_seconds,
+                                         bool& deadline_hit) {
+    std::vector<std::uint8_t> buf;
+    const auto deadline =
+        Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                           std::chrono::duration<double>(deadline_seconds));
+    for (;;) {
+      int timeout_ms = -1;
+      if (deadline_seconds > 0 && !deadline_hit) {
+        const auto remaining_ms =
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                deadline - Clock::now())
+                .count();
+        timeout_ms =
+            static_cast<int>(std::clamp<long long>(remaining_ms, 0, INT_MAX));
+      }
+      struct ::pollfd pfd{fd, POLLIN, 0};
+      const int rc = ::poll(&pfd, 1, timeout_ms);
+      if (rc < 0 && errno == EINTR) continue;
+      if (rc < 0) break;
+      if (rc == 0) {
+        deadline_hit = true;
+        ::kill(pid, SIGKILL);
+        continue;
+      }
+      std::uint8_t chunk[4096];
+      const ::ssize_t n = ::read(fd, chunk, sizeof(chunk));
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) break;  // EOF: child finished writing or died
+      buf.insert(buf.end(), chunk, chunk + n);
+    }
+    return buf;
+  }
+
+  /// How the child ended; nullopt for a clean exit 0 (the frame decides).
+  static std::optional<HarnessFault> classify_exit(int status,
+                                                   bool deadline_hit) {
+    using Kind = HarnessFault::Kind;
+    if (deadline_hit) return HarnessFault{Kind::kDeadline, SIGKILL, {}};
+    if (WIFSIGNALED(status)) {
+      // RLIMIT_CPU kills with SIGXCPU at the soft limit — a resource
+      // classification, not a crash.
+      const int sig = WTERMSIG(status);
+      return HarnessFault{
+          sig == SIGXCPU ? Kind::kResourceExhausted : Kind::kSignal, sig, {}};
+    }
+    if (WIFEXITED(status) && WEXITSTATUS(status) == 0) return std::nullopt;
+    // The RLIMIT_AS new-handler and failpoints::execute_alloc both exit
+    // through the dedicated resource-exhaustion code.
+    const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    return HarnessFault{code == support::failpoints::kResourceExhaustedExit
+                            ? Kind::kResourceExhausted
+                            : Kind::kExit,
+                        code, {}};
+  }
+
+  /// Exit 0: the frame must parse, checksum, and name this cell. Two
+  /// frames share the pipe shape: a result ("IRSB") or a structured
+  /// model fault ("IRMF"), told apart by the magic alone. Protocol
+  /// detail: 0 = bad frame, 1 = bad checksum, 2 = undecodable payload.
+  static std::optional<HarnessFault> decode_frame(
+      std::span<const std::uint8_t> buf, std::size_t i,
+      campaign::CheckpointCell* out) {
+    constexpr auto kModelMagic = support::modelfault::kModelFaultFrameMagic;
+    const auto protocol = [](int detail) {
+      return HarnessFault{HarnessFault::Kind::kProtocol, detail, {}};
+    };
+    ByteReader r(buf);
+    auto magic = r.u32();
+    auto len = r.u32();
+    auto checksum = r.u64();
+    if (!magic.ok() ||
+        (magic.value() != kSandboxFrameMagic && magic.value() != kModelMagic) ||
+        !len.ok() || !checksum.ok() || len.value() != r.remaining()) {
+      return protocol(0);
+    }
+    const std::span<const std::uint8_t> payload = buf.subspan(16);
+    if (fnv1a(payload) != checksum.value()) return protocol(1);
+    ByteReader pr(payload);
+    if (magic.value() == kModelMagic) {
+      auto fault = support::modelfault::deserialize_model_fault(pr);
+      if (!fault.ok() || !pr.exhausted()) return protocol(2);
+      return HarnessFault{HarnessFault::Kind::kModelFault, fault.value().code,
+                          fault.value().describe()};
+    }
+    auto cell = campaign::deserialize_checkpoint_cell(pr);
+    if (!cell.ok() || !pr.exhausted() || cell.value().index != i) {
+      return protocol(2);
+    }
+    if (out != nullptr) *out = std::move(cell).take();
+    return std::nullopt;
+  }
+
+  const CampaignConfig& config_;
+  const RunState& state_;
+  std::optional<VmPool> pool_;
+  std::vector<std::unique_ptr<support::FlightRecorder>> recorders_;
+  std::mutex behaviors_mutex_;
+  std::map<guest::Workload, VmBehavior> behaviors_;
+};
+
+// --- Cell policy ---------------------------------------------------------
+
+bool by_index(const PoisonedCell& a, const PoisonedCell& b) {
+  return a.index < b.index;
+}
+
+/// What happens to a cell around its attempts: attempt → jittered
+/// backoff → retry → quarantine in the grid pass, then degraded re-probe
+/// → rehabilitate or re-poison after it. Both passes share one fault
+/// step (account, harvest forensics, rebuild the slot), one commit and
+/// one journal append helper.
+class CellPolicy {
+ public:
+  CellPolicy(const CampaignConfig& config, RunState& state, CellExecutor& exec,
+             CampaignEvents& events)
+      : config_(config), state_(state), exec_(exec), events_(events),
+        limits_{config.cell_deadline_seconds, config.rlimit_cpu_seconds,
+                config.rlimit_as_mb, config.rlimit_core_mb},
+        budget_(config.cell_budget == 0 ? std::numeric_limits<std::size_t>::max()
+                                        : config.cell_budget) {}
+
+  /// Worker `worker`'s fixed-stride share of the grid.
+  void grid_pass(std::size_t worker, std::size_t workers) {
+    for (std::size_t i = worker; i < state_.grid.size(); i += workers) {
+      if (state_.done[i] != 0 || state_.poisoned[i] != 0) continue;
+      if (stop_requested()) {
+        // Cooperative stop: the in-flight cell (if any) already finished
+        // and journaled; just stop claiming new ones.
+        saw_stop_.store(true, std::memory_order_relaxed);
+        return;
+      }
+      events_.tick();
+      if (config_.gate != nullptr) {
+        config_.gate->heartbeat();
+        if (!config_.gate->try_claim(i)) continue;  // another shard's range
+      }
+      if (!claim_budget()) return;
+      run_cell(i, worker);
+    }
+  }
+
+  /// After the grid pass, each still-poisoned cell (fresh quarantine or
+  /// resumed) gets one more chance. Main thread only; borrows worker
+  /// slot 0 and its ring.
+  void reprobe_pass() {
+    auto& poisoned_cells = state_.out.poisoned_cells;
+    if (!config_.sandbox_cells || !config_.reprobe_poisoned ||
+        poisoned_cells.empty() || stop_requested()) {
+      return;
+    }
+    std::sort(poisoned_cells.begin(), poisoned_cells.end(), by_index);
+    std::vector<PoisonedCell> still_poisoned;
+    for (PoisonedCell poison : poisoned_cells) {
+      if (state_.done[poison.index] != 0) continue;
+      if (!reprobe(poison)) still_poisoned.push_back(poison);
+    }
+    poisoned_cells = std::move(still_poisoned);
+    events_.publish_now();
+  }
+
+  [[nodiscard]] bool interrupted() const {
+    return saw_stop_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  [[nodiscard]] bool stop_requested() const {
+    return config_.stop != nullptr &&
+           config_.stop->load(std::memory_order_relaxed);
+  }
+
+  /// Workers claim a budget slot before executing a new cell, so a
+  /// budgeted run completes exactly min(budget, remaining) cells. Which
+  /// cells land inside it depends on thread timing — harmless, since the
+  /// merged result is a function of the full grid only.
+  bool claim_budget() {
+    std::size_t current = budget_.load(std::memory_order_relaxed);
+    while (current != 0) {
+      if (budget_.compare_exchange_weak(current, current - 1,
+                                        std::memory_order_relaxed)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  void run_cell(std::size_t i, std::size_t worker) {
+    const TestCaseSpec& spec = state_.grid[i];
+    const CellJob job{i, spec, exec_.behavior(spec.workload, worker), worker};
+    events_.emit({.kind = EventKind::kCellStart, .cell = i, .worker = worker});
+    const auto started = Clock::now();
+    const std::size_t max_attempts =
+        config_.sandbox_cells ? 1 + config_.cell_retries : 1;
+    campaign::CheckpointCell run;
+    std::optional<HarnessFault> fault;
+    double attempt_us = 0.0;
+    for (std::size_t attempt = 1; attempt <= max_attempts; ++attempt) {
+      const auto attempt_started = Clock::now();
+      fault = exec_.attempt(job, limits_, &run);
+      if (config_.sandbox_cells) attempt_us = us_since(attempt_started);
+      if (!fault) break;
+      on_fault(i, worker, attempt, *fault, attempt_us);
+      if (attempt < max_attempts) backoff(i, attempt);
+    }
+    if (fault) return quarantine(i, worker, max_attempts, *fault);
+    commit(i, std::move(run));
+    events_.emit({.kind = EventKind::kCellDone, .cell = i, .worker = worker,
+                  .result = &state_.out.results[i],
+                  .wall_us = us_since(started), .attempt_us = attempt_us});
+    // Only journaled cells may retire toward a (final) done marker: the
+    // reducer only ever sees journaled results, so a cell lost to a
+    // persistence failure must leave its range claimable.
+    if (journal_cell(i) && config_.gate != nullptr) config_.gate->completed(i);
+  }
+
+  /// The fault step of both passes: account the fault, harvest the dead
+  /// child's ring, and rebuild the worker's pooled stack from scratch
+  /// after reaping a dead harness.
+  void on_fault(std::size_t i, std::size_t worker, std::size_t attempt,
+                const HarnessFault& fault, double attempt_us) {
+    if (fault.kind == HarnessFault::Kind::kModelFault) {
+      events_.emit({.kind = EventKind::kModelFault, .cell = i, .fault = &fault});
+    }
+    events_.emit({.kind = EventKind::kHarnessFault, .cell = i,
+                  .attempt = attempt, .fault = &fault,
+                  .attempt_us = attempt_us});
+    publish_forensics(i, worker, attempt, fault);
+    exec_.rebuild(worker);
+  }
+
+  /// Deterministic jittered exponential backoff before the next attempt.
+  void backoff(std::size_t i, std::size_t attempt) {
+    const support::RetryPolicy policy{
+        .base_delay_ms = config_.retry_base_backoff_ms, .multiplier = 2.0,
+        .max_delay_ms = 2000.0,
+        .jitter_seed = 0x9E3779B97F4A7C15ULL ^ (i * 0x100000001B3ULL)};
+    const double backoff_ms = support::retry_delay_ms(policy, attempt);
+    events_.emit({.kind = EventKind::kRetry, .cell = i, .attempt = attempt,
+                  .backoff_ms = backoff_ms});
+    std::this_thread::sleep_for(
+        std::chrono::duration<double, std::milli>(backoff_ms));
+  }
+
+  /// Every attempt faulted: carry the cell as an explicit hole. A
+  /// journaled quarantine retires the range exactly like a journaled
+  /// result — the reducer will see and report it.
+  void quarantine(std::size_t i, std::size_t worker, std::size_t attempts,
+                  const HarnessFault& fault) {
+    std::fprintf(stderr, "campaign: cell %zu poisoned after %zu attempts: %s\n",
+                 i, attempts, fault.describe().c_str());
+    state_.poisoned[i] = 1;
+    events_.emit({.kind = EventKind::kQuarantine, .cell = i, .worker = worker,
+                  .attempt = attempts, .fault = &fault});
+    const auto attempts32 = static_cast<std::uint32_t>(attempts);
+    {
+      const std::lock_guard<std::mutex> lock(journal_mutex_);
+      state_.out.poisoned_cells.push_back(PoisonedCell{i, attempts32, fault});
+    }
+    const campaign::PoisonRecord record{
+        i, attempts32, static_cast<std::uint8_t>(fault.kind), fault.detail,
+        fault.describe() + forensics_note(i)};
+    if (journal([&](auto& ckpt) { return ckpt.append_poison(record); }) &&
+        config_.gate != nullptr) {
+      config_.gate->completed(i);
+    }
+  }
+
+  /// One re-probe round: a degraded canary on a fresh slot whose result
+  /// is DISCARDED (journaling a reduced-budget result would hand the
+  /// reducer two conflicting records for one index); a clean canary
+  /// earns a full-fidelity re-execution that, if clean, rehabilitates the
+  /// cell (journaled like any clean cell — clean-cell-wins does the rest
+  /// on resume and reduce). Otherwise it re-poisons with the attempt
+  /// history. True iff rehabilitated.
+  bool reprobe(PoisonedCell& poison) {
+    const std::size_t i = poison.index;
+    const TestCaseSpec& spec = state_.grid[i];
+    const VmBehavior& behavior = exec_.behavior(spec.workload, 0);
+    // Round number is per-journal history: earlier runs' re-probes of
+    // this cell (loaded at open) come first.
+    std::uint32_t round = 1;
+    if (state_.checkpoint) {
+      for (const auto& rp : state_.checkpoint->reprobes()) {
+        if (rp.index == i) ++round;
+      }
+    }
+    TestCaseSpec probe = spec;
+    probe.mutants = std::min(spec.mutants, config_.reprobe_probe_mutants);
+    exec_.rebuild(0);
+    std::uint32_t spent = 1;
+    campaign::CheckpointCell run;
+    auto fault =
+        exec_.attempt({i, probe, behavior, 0}, limits_.degraded(), nullptr);
+    if (!fault) {
+      exec_.rebuild(0);
+      ++spent;
+      fault = exec_.attempt({i, spec, behavior, 0}, limits_, &run);
+    }
+    campaign::ReprobeRecord record{i, round, campaign::kReprobeRehabilitated,
+                                   0, 0, poison.attempts + spent, {}};
+    if (fault) {
+      on_fault(i, 0, spent, *fault, 0.0);
+      poison.attempts = record.attempts_total;
+      poison.fault = *fault;
+      record.outcome = campaign::kReprobeRepoisoned;
+      record.fault_kind = static_cast<std::uint8_t>(fault->kind);
+      record.detail = fault->detail;
+      record.message = fault->describe() + forensics_note(i);
+      std::fprintf(stderr,
+                   "campaign: cell %zu re-poisoned by re-probe round %u: %s\n",
+                   i, round, fault->describe().c_str());
+    }
+    journal([&](auto& ckpt) { return ckpt.append_reprobe(record); });
+    if (!fault) {
+      state_.poisoned[i] = 0;
+      commit(i, std::move(run));
+      std::fprintf(stderr,
+                   "campaign: cell %zu rehabilitated by re-probe round %u\n", i,
+                   round);
+      journal_cell(i);
+    }
+    events_.emit({.kind = EventKind::kReprobe, .cell = i,
+                  .attempt = record.attempts_total, .round = round,
+                  .result = fault ? nullptr : &state_.out.results[i],
+                  .fault = fault ? &*fault : nullptr});
+    return !fault;
+  }
+
+  void commit(std::size_t i, campaign::CheckpointCell&& run) {
+    state_.out.results[i] = std::move(run.result);
+    state_.coverage[i] = std::move(run.coverage);
+    state_.done[i] = 1;
+  }
+
+  /// Decode the dead child's ring and publish forensics-<cell>.json.
+  /// Best-effort like the status file: a sick write surfaces in
+  /// persistence_error but never fails or perturbs the campaign.
+  void publish_forensics(std::size_t i, std::size_t worker, std::size_t attempt,
+                         const HarnessFault& fault) {
+    support::FlightRecorder* const ring = exec_.recorder(worker);
+    if (ring == nullptr || config_.forensics_dir.empty()) return;
+    const campaign::ForensicRecord record{
+        i, static_cast<std::uint32_t>(attempt), config_.shard_label,
+        fault.describe(),
+        static_cast<std::uint64_t>(campaign::wall_clock_unix()),
+        ring->harvest()};
+    const Status status = campaign::write_forensics(config_.forensics_dir, record);
+    if (!status.ok()) return state_.note_error(status);
+    state_.forensic_written[i] = 1;
+    events_.emit({.kind = EventKind::kForensics, .cell = i, .attempt = attempt,
+                  .count = record.harvest.crumbs.size()});
+  }
+
+  /// Points triage at a quarantined cell's breadcrumbs. Free text by
+  /// design: no journal version bump, old readers show it verbatim.
+  [[nodiscard]] std::string forensics_note(std::size_t i) const {
+    return state_.forensic_written[i] != 0
+               ? " forensics=" + campaign::forensic_file_name(i)
+               : std::string();
+  }
+
+  /// True iff the cell's record reached this shard's journal.
+  bool journal_cell(std::size_t i) {
+    const campaign::CheckpointCell cell{i, state_.sync_epoch,
+                                        state_.out.results[i],
+                                        state_.coverage[i]};
+    return journal([&](auto& ckpt) { return ckpt.append(cell); });
+  }
+
+  /// The one journal append path. After the first post-retry (i.e.
+  /// permanent: ENOSPC, EACCES, ...) failure the journal is degraded:
+  /// the campaign completes in memory without hammering a hopeless
+  /// filesystem once per cell, and persistence_error surfaces the cause.
+  template <typename Append>
+  bool journal(const Append& append) {
+    const std::lock_guard<std::mutex> lock(journal_mutex_);
+    if (!state_.checkpoint || journal_degraded_) return false;
+    const Status status = append(*state_.checkpoint);
+    if (status.ok()) return true;
+    state_.note_error(status);
+    journal_degraded_ = true;
+    events_.emit({.kind = EventKind::kDegrade, .error = status.error().message});
+    return false;
+  }
+
+  const CampaignConfig& config_;
+  RunState& state_;
+  CellExecutor& exec_;
+  CampaignEvents& events_;
+  const SandboxLimits limits_;  ///< every ordinary attempt's limits
+  std::atomic<std::size_t> budget_;
+  std::atomic<bool> saw_stop_{false};
+  std::mutex journal_mutex_;  ///< appends, degraded flag, poisoned_cells
+  bool journal_degraded_ = false;
+};
+
+// --- Driver phases -------------------------------------------------------
+
+/// Quarantined cells resume as quarantined: the journal says every
+/// attempt faulted, so this run never re-executes them (a clean record
+/// for the same index — conceivable from a hand-merged journal — wins).
+/// Re-probe history (v5) then folds in: a re-poisoned round updated the
+/// attempt count and fault without a second poison record; rehabilitated
+/// rounds need nothing — their clean cell record already marked the
+/// cell done.
+void resume_quarantines(RunState& s) {
+  for (const auto& poison : s.checkpoint->poisons()) {
+    if (poison.index >= s.grid.size() || s.done[poison.index] != 0 ||
+        s.poisoned[poison.index] != 0) {
+      continue;
+    }
+    s.poisoned[poison.index] = 1;
+    s.out.poisoned_cells.push_back(PoisonedCell{
+        poison.index, poison.attempts,
+        HarnessFault{static_cast<HarnessFault::Kind>(poison.fault_kind),
+                     poison.detail, poison.message}});
+  }
+  for (const auto& rp : s.checkpoint->reprobes()) {
+    if (rp.index >= s.grid.size() || s.done[rp.index] != 0 ||
+        rp.outcome != campaign::kReprobeRepoisoned) {
+      continue;
+    }
+    for (auto& cell : s.out.poisoned_cells) {
+      if (cell.index != rp.index) continue;
+      cell.attempts = std::max(cell.attempts, rp.attempts_total);
+      cell.fault = HarnessFault{static_cast<HarnessFault::Kind>(rp.fault_kind),
+                                rp.detail, rp.message};
+    }
+  }
+}
+
+/// Recover completed and quarantined cells from the checkpoint journal.
+/// A journal that cannot be opened (foreign fingerprint, unreadable
+/// file) is surfaced but never written to: the run proceeds in memory.
+void resume(const CampaignConfig& config, RunState& s, CampaignEvents& events) {
+  if (!config.checkpoint_path.empty()) {
+    auto opened = campaign::CampaignCheckpoint::open(
+        config.checkpoint_path, campaign::campaign_fingerprint(s.grid, config),
+        campaign::grid_uses_profiles(s.grid), config.sandbox_cells,
+        config.sandbox_cells && config.reprobe_poisoned);
+    if (!opened.ok()) {
+      s.out.persistence_error = opened.error().message;
+    } else {
+      s.checkpoint = std::move(opened).take();
+      std::size_t resumed = 0;
+      for (const auto& cell : s.checkpoint->cells()) {
+        if (cell.index >= s.grid.size() || s.done[cell.index] != 0) continue;
+        s.done[cell.index] = 1;
+        s.out.results[cell.index] = cell.result;
+        s.coverage[cell.index] = cell.coverage;
+        ++resumed;
+      }
+      resume_quarantines(s);
+      events.emit({.kind = EventKind::kResumed, .count = resumed});
+    }
+  }
+  // Tell a distributed gate about every cell this shard's own journal
+  // already covers — completed or quarantined — so it can finish ranges
+  // a previous incarnation left half-complete instead of reclaiming a
+  // poisoned range forever.
+  if (config.gate != nullptr) {
+    for (std::size_t i = 0; i < s.grid.size(); ++i) {
+      if (s.done[i] != 0 || s.poisoned[i] != 0) config.gate->completed(i);
+    }
+  }
+}
+
+/// Resolve the corpus-sync epoch. Priority: an epoch already in the
+/// journal (a resumed run replays exactly the imports the first run
+/// froze), then a pinned set from the distributed layer, then a fresh
+/// snapshot of the shared store in sorted entry-name order. A fresh
+/// epoch is journaled *before* any cell, so even a run killed after one
+/// cell leaves its import set on disk.
+void resolve_sync_epoch(const CampaignConfig& config, RunState& s,
+                        CampaignEvents& events) {
+  s.sync_enabled =
+      !config.corpus_dir.empty() || config.pinned_imports.has_value();
+  if (!s.sync_enabled) return;
+  if (s.checkpoint && !s.checkpoint->epochs().empty()) {
+    s.imports = s.checkpoint->epochs().back().imports;
+    s.sync_epoch = s.checkpoint->epochs().back().epoch;
+  } else {
+    if (config.pinned_imports.has_value()) {
+      s.imports = *config.pinned_imports;
+      if (s.imports.size() > config.corpus_max_imports) {
+        s.imports.resize(config.corpus_max_imports);
+      }
+    } else {
+      const campaign::CorpusStore store(config.corpus_dir);
+      for (const auto& name : store.list()) {
+        if (s.imports.size() >= config.corpus_max_imports) break;
+        auto entry = store.read_entry(name);
+        if (!entry.ok()) continue;  // corrupt entries never kill a run
+        s.imports.push_back(std::move(entry).take().seed);
+      }
+    }
+    s.sync_epoch = 1;
+    if (s.checkpoint) {
+      s.note_error(s.checkpoint->append_epoch(
+          campaign::SyncEpochRecord{s.sync_epoch, s.imports}));
+    }
+  }
+  events.emit({.kind = EventKind::kSyncEpoch, .round = s.sync_epoch,
+               .count = s.imports.size()});
+}
+
+/// Fill the result's completion and accounting fields, then run the
+/// merge phase shared with the distributed reducer.
+void finalize(RunState& s, const CampaignEvents& events, bool interrupted) {
+  CampaignResult& out = s.out;
+  // A poisoned cell keeps done[i] == 0: the campaign outcome is honestly
+  // partial (complete == false, its result a placeholder).
+  out.complete =
+      std::all_of(s.done.begin(), s.done.end(), [](char d) { return d != 0; });
+  out.cells_completed.assign(s.done.begin(), s.done.end());
+  out.cells_resumed = events.count(EventKind::kResumed);
+  out.harness_faults = events.count(EventKind::kHarnessFault);
+  out.rlimit_kills = events.tally(kTallyRlimitKills);
+  out.model_faults = events.count(EventKind::kModelFault);
+  out.forensics_written = events.count(EventKind::kForensics);
+  out.cells_reprobed = events.count(EventKind::kReprobe);
+  out.cells_rehabilitated = events.tally(kTallyRehabilitated);
+  out.interrupted = interrupted;
+  std::sort(out.poisoned_cells.begin(), out.poisoned_cells.end(), by_index);
+  finalize_campaign_result(s.coverage, out);
+}
+
+/// One replayable reproducer per crash bucket. If a forensic record
+/// exists for a bucket's cell (some attempt faulted before the clean run
+/// that found the crash), its name is attached and the file copied
+/// beside the reproducer, so the archive stays self-contained.
+void archive_crashes(const CampaignConfig& config, RunState& s,
+                     CellExecutor& exec) {
+  if (config.crash_archive_dir.empty()) return;
+  campaign::CrashArchive archive(config.crash_archive_dir);
+  s.note_error(archive.init());
+  for (const DedupedCrash& bucket : s.out.unique_crashes) {
+    const TestCaseResult& cell = s.out.results[bucket.spec_index];
+    const VmBehavior& behavior = exec.behavior(cell.spec.workload, 0);
+    campaign::CrashReproducer repro;
+    repro.key = bucket.key;
+    repro.spec = cell.spec;
+    repro.hv_seed = config.hv_seed;
+    repro.async_noise_prob = config.async_noise_prob;
+    repro.target_index = cell.target_index;
+    repro.replay = config.fuzzer.replay;
+    // target_index may come from a checkpoint file; bound it by the
+    // behavior length before reserving, exactly as the loop does.
+    const std::size_t prefix_len =
+        std::min(cell.target_index + 1, behavior.size());
+    repro.prefix.reserve(prefix_len);
+    for (std::size_t p = 0; p < prefix_len; ++p) {
+      repro.prefix.push_back(behavior[p].seed);
+    }
+    repro.mutant = bucket.first.mutant;
+    if (!config.forensics_dir.empty() &&
+        s.forensic_written[bucket.spec_index] != 0) {
+      repro.forensics_name = campaign::forensic_file_name(bucket.spec_index);
+      auto bytes =
+          read_file_bytes(config.forensics_dir + "/" + repro.forensics_name);
+      if (bytes.ok()) {
+        s.note_error(write_file_atomic(config.crash_archive_dir,
+                                       repro.forensics_name, bytes.value()));
+      }
+    }
+    s.note_error(archive.write(repro));
+  }
+}
 
 }  // namespace
 
@@ -264,10 +1209,10 @@ std::string HarnessFault::describe() const {
 }
 
 bool rlimit_as_supported() noexcept {
-#if defined(__SANITIZE_ADDRESS__)
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   return false;
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
   return false;
 #else
   return true;
@@ -325,987 +1270,48 @@ void finalize_campaign_result(
 }
 
 CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
-  CampaignResult out;
-  out.results.resize(grid.size());
-  // Placeholder results of pending cells still carry their real spec,
-  // so partial-run reporting can label them.
-  for (std::size_t i = 0; i < grid.size(); ++i) out.results[i].spec = grid[i];
-  if (grid.empty()) return out;
-
+  RunState state(grid);
+  if (grid.empty()) return std::move(state.out);
   const std::size_t workers =
       std::clamp<std::size_t>(config_.workers, 1, grid.size());
-  out.workers_used = workers;
+  state.out.workers_used = workers;
 
-  CampaignMetrics mm;
-  StatusBoard board(config_, grid.size(), workers);
-
-  // --- Recover completed cells from the checkpoint journal. A journal
-  // that cannot be opened (foreign fingerprint, unreadable file) is
-  // surfaced but never written to: the run proceeds in-memory.
-  std::optional<campaign::CampaignCheckpoint> checkpoint;
-  std::vector<char> done(grid.size(), 0);
-  std::vector<char> poisoned(grid.size(), 0);
-  std::vector<std::vector<std::pair<hv::BlockKey, std::uint8_t>>> cell_cov(
-      grid.size());
-  if (!config_.checkpoint_path.empty()) {
-    auto opened = campaign::CampaignCheckpoint::open(
-        config_.checkpoint_path, campaign::campaign_fingerprint(grid, config_),
-        campaign::grid_uses_profiles(grid), config_.sandbox_cells,
-        config_.sandbox_cells && config_.reprobe_poisoned);
-    if (opened.ok()) {
-      checkpoint = std::move(opened).take();
-      for (const auto& cell : checkpoint->cells()) {
-        if (cell.index >= grid.size() || done[cell.index] != 0) continue;
-        done[cell.index] = 1;
-        out.results[cell.index] = cell.result;
-        cell_cov[cell.index] = cell.coverage;
-        ++out.cells_resumed;
-      }
-      // Quarantined cells resume as quarantined: the journal says every
-      // attempt faulted, so this run never re-executes them (a clean
-      // journaled result for the same index — impossible from one
-      // campaign, conceivable from a hand-merged journal — wins above).
-      for (const auto& poison : checkpoint->poisons()) {
-        if (poison.index >= grid.size() || done[poison.index] != 0 ||
-            poisoned[poison.index] != 0) {
-          continue;
-        }
-        poisoned[poison.index] = 1;
-        HarnessFault fault;
-        fault.kind = static_cast<HarnessFault::Kind>(poison.fault_kind);
-        fault.detail = poison.detail;
-        fault.message = poison.message;
-        out.poisoned_cells.push_back(
-            PoisonedCell{poison.index, poison.attempts, fault});
-      }
-      // Re-probe history (v5): a re-poisoned round updated the
-      // quarantine's attempt count and fault without a second poison
-      // record; fold that in. Rehabilitated rounds need nothing — the
-      // clean cell record that follows them already marked the cell
-      // done, so the poison loop above skipped it.
-      for (const auto& rp : checkpoint->reprobes()) {
-        if (rp.index >= grid.size() || done[rp.index] != 0) continue;
-        for (auto& cell : out.poisoned_cells) {
-          if (cell.index != rp.index ||
-              rp.outcome != campaign::kReprobeRepoisoned) {
-            continue;
-          }
-          cell.attempts = std::max(cell.attempts, rp.attempts_total);
-          cell.fault.kind = static_cast<HarnessFault::Kind>(rp.fault_kind);
-          cell.fault.detail = rp.detail;
-          cell.fault.message = rp.message;
-        }
-      }
-    } else {
-      out.persistence_error = opened.error().message;
-    }
-  }
-  if (out.cells_resumed > 0) {
-    mm.reg.add(mm.cells_resumed, out.cells_resumed);
-    mm.reg.add(mm.cells_done, out.cells_resumed);
-    board.resumed.store(out.cells_resumed, std::memory_order_relaxed);
-    board.done.store(out.cells_resumed, std::memory_order_relaxed);
-  }
-
-  // --- Resolve the corpus-sync epoch. Priority: an epoch already in the
-  // journal (a resumed run replays exactly the imports the first run
-  // froze), then a pinned set from the distributed layer (all shards of
-  // one grid share one epoch file), then a fresh snapshot of the shared
-  // store in deterministic (sorted entry name) order. The epoch is
-  // journaled *before* any cell, so even a run killed after one cell
-  // leaves its import set on disk.
-  std::vector<VmSeed> imports;
-  std::uint32_t sync_epoch = 0;
-  const bool sync_enabled =
-      !config_.corpus_dir.empty() || config_.pinned_imports.has_value();
-  if (sync_enabled) {
-    if (checkpoint && !checkpoint->epochs().empty()) {
-      imports = checkpoint->epochs().back().imports;
-      sync_epoch = checkpoint->epochs().back().epoch;
-    } else {
-      if (config_.pinned_imports.has_value()) {
-        imports = *config_.pinned_imports;
-        if (imports.size() > config_.corpus_max_imports) {
-          imports.resize(config_.corpus_max_imports);
-        }
-      } else {
-        const campaign::CorpusStore store(config_.corpus_dir);
-        for (const auto& name : store.list()) {
-          if (imports.size() >= config_.corpus_max_imports) break;
-          auto entry = store.read_entry(name);
-          if (!entry.ok()) continue;  // corrupt entries never kill a run
-          imports.push_back(std::move(entry).take().seed);
-        }
-      }
-      sync_epoch = 1;
-      if (checkpoint) {
-        const auto status =
-            checkpoint->append_epoch(campaign::SyncEpochRecord{sync_epoch, imports});
-        if (!status.ok() && out.persistence_error.empty()) {
-          out.persistence_error = status.error().message;
-        }
-      }
-    }
-    if (support::trace_active()) {
-      support::TraceEvent event("sync_epoch");
-      event.num("epoch", sync_epoch)
-          .num("imports", static_cast<double>(imports.size()));
-      support::trace(std::move(event));
-    }
-  }
-
+  CampaignEvents events(config_, grid.size(), workers);
+  resume(config_, state, events);
+  resolve_sync_epoch(config_, state, events);
   // First status publication before any cell runs, so a fleet monitor
   // sees the shard the moment it starts (CI greps for this).
-  board.publish_now();
+  events.publish_now();
 
-  // Per-worker pooled VM stacks (the default): one Hypervisor/Manager
-  // per worker for the whole grid, reset to the post-construction state
-  // between cells. Slots are created lazily, so a fully-resumed run
-  // builds none.
-  std::optional<VmPool> pool;
-  if (config_.reuse_vm_stacks) {
-    pool.emplace(workers, config_.hv_seed, config_.async_noise_prob);
-  }
-
-  // Record each workload's behavior on first need, on the needing
-  // worker's own stack (slot w belongs to worker w; the archive phase
-  // below calls with worker 0 from the main thread after the join).
-  // Recording is a pure function of (workload, config) — identical
-  // bytes whichever worker records, a fact the pool's reset-fidelity
-  // digest asserts — so laziness cannot change results; it only avoids
-  // recording workloads whose cells this run never executes (fully
-  // resumed grids, ranges denied by a distributed gate).
-  std::mutex behaviors_mutex;
-  std::map<guest::Workload, VmBehavior> behaviors;
-  auto ensure_behavior = [&behaviors, &behaviors_mutex, &pool, this](
-                             guest::Workload workload,
-                             std::size_t worker_index) -> const VmBehavior& {
-    const std::lock_guard<std::mutex> lock(behaviors_mutex);
-    auto it = behaviors.find(workload);
-    if (it == behaviors.end()) {
-      // Record once, always on the BASELINE profile, whatever profile
-      // the requesting cell fuzzes against: the capability matrix is
-      // record-once/replay-everywhere, so every profile's cells mutate
-      // the identical recorded behavior. (The cell body re-resets its
-      // stack to the spec's profile before fuzzing, so this costs the
-      // profiled cell nothing it wasn't already paying.)
-      std::optional<CellVm> throwaway;
-      Manager* recorder = nullptr;
-      if (pool) {
-        PooledVm& slot = pool->worker(worker_index);
-        slot.reset();
-        recorder = &slot.manager();
-      } else {
-        throwaway.emplace(config_);
-        recorder = &throwaway->manager;
-      }
-      it = behaviors
-               .emplace(workload,
-                        recorder->record_workload(workload, config_.record_exits,
-                                                  config_.record_seed))
-               .first;
-    }
-    return it->second;  // map references stay valid across inserts
-  };
-
-  const auto started = std::chrono::steady_clock::now();
-
-  // Cell budget: workers claim a slot before executing a new cell, so a
-  // budgeted run completes exactly min(budget, remaining) cells. Which
-  // cells land inside the budget depends on thread timing — harmless,
-  // since every cell is an independent pure function and the final
-  // merged result is a function of the full grid only.
-  std::atomic<std::size_t> budget{config_.cell_budget == 0
-                                      ? std::numeric_limits<std::size_t>::max()
-                                      : config_.cell_budget};
-  auto claim_budget = [&budget]() {
-    std::size_t current = budget.load(std::memory_order_relaxed);
-    while (current != 0) {
-      if (budget.compare_exchange_weak(current, current - 1,
-                                       std::memory_order_relaxed)) {
-        return true;
-      }
-    }
-    return false;
-  };
-
-  std::mutex journal_mutex;
-  // After the first post-retry (i.e. permanent: ENOSPC, EACCES, ...)
-  // append failure the journal is degraded: the campaign completes in
-  // memory without hammering a hopeless filesystem once per cell, and
-  // the recorded persistence_error surfaces at campaign end.
-  bool journal_degraded = false;
-
-  // --- Postmortem flight recorders (PR 10). One crash-surviving ring
-  // per worker, created BEFORE any fork so every sandbox child inherits
-  // its worker's MAP_SHARED mapping; the parent resets it per attempt
-  // and harvests it after any harness fault. In-process (non-sandbox)
-  // mode arms the same per-worker ring around the cell body — that path
-  // is what the byte-identity matrix and the armed-overhead bench leg
-  // exercise.
-  const bool recorder_enabled =
-      config_.flight_recorder || !config_.forensics_dir.empty();
-  std::vector<std::unique_ptr<support::FlightRecorder>> recorders;
-  if (recorder_enabled) {
-    recorders.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      recorders.push_back(std::make_unique<support::FlightRecorder>());
-    }
-  }
-  std::atomic<std::size_t> forensics_count{0};
-  // Cells with a published forensic record. No synchronization needed:
-  // cell i is touched only by the worker that owns it (fixed stride),
-  // and the post-join phases read it from the main thread.
-  std::vector<char> forensic_written(grid.size(), 0);
-  /// Decode the (dead) child's ring and publish forensics-<cell>.json.
-  /// Best-effort by the same contract as the status file: a sick
-  /// forensic write surfaces in persistence_error but never fails or
-  /// perturbs the campaign.
-  auto publish_forensics = [&](std::size_t i, std::size_t attempt,
-                               const HarnessFault& fault,
-                               support::FlightRecorder* recorder) {
-    if (recorder == nullptr || config_.forensics_dir.empty()) return;
-    campaign::ForensicRecord record;
-    record.cell = i;
-    record.attempt = static_cast<std::uint32_t>(attempt);
-    record.shard = config_.shard_label;
-    record.fault = fault.describe();
-    record.written_unix =
-        static_cast<std::uint64_t>(campaign::wall_clock_unix());
-    record.harvest = recorder->harvest();
-    if (const auto status =
-            campaign::write_forensics(config_.forensics_dir, record);
-        !status.ok()) {
-      const std::lock_guard<std::mutex> lock(journal_mutex);
-      if (out.persistence_error.empty()) {
-        out.persistence_error = status.error().message;
-      }
-      return;
-    }
-    forensic_written[i] = 1;
-    forensics_count.fetch_add(1, std::memory_order_relaxed);
-    mm.reg.add(mm.forensics);
-    if (support::trace_active()) {
-      support::TraceEvent event("forensics");
-      event.num("cell", static_cast<double>(i))
-          .num("attempt", static_cast<double>(attempt))
-          .num("crumbs", static_cast<double>(record.harvest.crumbs.size()))
-          .str("file", campaign::forensic_file_name(i));
-      support::trace(std::move(event));
-    }
-  };
-
-  /// True iff the cell's record reached this shard's journal.
-  auto journal_cell = [&](std::size_t index) -> bool {
-    if (!checkpoint) return false;
-    campaign::CheckpointCell cell;
-    cell.index = index;
-    cell.sync_epoch = sync_epoch;
-    cell.result = out.results[index];
-    cell.coverage = cell_cov[index];
-    const std::lock_guard<std::mutex> lock(journal_mutex);
-    if (journal_degraded) return false;
-    if (const auto status = checkpoint->append(cell); !status.ok()) {
-      if (out.persistence_error.empty()) {
-        out.persistence_error = status.error().message;
-      }
-      journal_degraded = true;
-      if (support::trace_active()) {
-        support::TraceEvent event("degrade");
-        event.str("what", "checkpoint").str("error", status.error().message);
-        support::trace(std::move(event));
-      }
-      return false;
-    }
-    return true;
-  };
-  /// True iff the poison record reached this shard's journal. Also
-  /// accounts the quarantine in the in-memory result either way.
-  auto journal_poison = [&](const PoisonedCell& poison) -> bool {
-    const std::lock_guard<std::mutex> lock(journal_mutex);
-    out.poisoned_cells.push_back(poison);
-    if (!checkpoint || journal_degraded) return false;
-    campaign::PoisonRecord record;
-    record.index = poison.index;
-    record.attempts = poison.attempts;
-    record.fault_kind = static_cast<std::uint8_t>(poison.fault.kind);
-    record.detail = poison.fault.detail;
-    record.message = poison.fault.describe();
-    // Point triage at the quarantined cell's breadcrumbs. Free text by
-    // design: no journal version bump, old readers show it verbatim.
-    if (poison.index < forensic_written.size() &&
-        forensic_written[poison.index] != 0) {
-      record.message +=
-          " forensics=" + campaign::forensic_file_name(poison.index);
-    }
-    if (const auto status = checkpoint->append_poison(record); !status.ok()) {
-      if (out.persistence_error.empty()) {
-        out.persistence_error = status.error().message;
-      }
-      journal_degraded = true;
-      if (support::trace_active()) {
-        support::TraceEvent event("degrade");
-        event.str("what", "checkpoint").str("error", status.error().message);
-        support::trace(std::move(event));
-      }
-      return false;
-    }
-    return true;
-  };
-
-  // Tell a distributed gate about every cell this shard's own journal
-  // already covers — completed or quarantined — so it can finish (and
-  // mark done) ranges a previous incarnation of this shard left
-  // half-complete instead of reclaiming a poisoned range forever.
-  if (config_.gate != nullptr) {
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (done[i] != 0 || poisoned[i] != 0) config_.gate->completed(i);
-    }
-  }
-
-  std::atomic<std::size_t> fault_count{0};
-  std::atomic<std::size_t> rlimit_kill_count{0};
-  std::atomic<std::size_t> model_fault_count{0};
-  std::atomic<bool> saw_stop{false};
-
-  // Limits every ordinary sandboxed attempt runs under; the re-probe
-  // pass derives its degraded variant from this.
-  const SandboxLimits base_limits{config_.cell_deadline_seconds,
-                                  config_.rlimit_cpu_seconds,
-                                  config_.rlimit_as_mb, config_.rlimit_core_mb};
-
-  // Shared fault accounting for the retry loop and the re-probe pass:
-  // the global counters, the rlimit-kill / model-fault breakdowns, the
-  // trace events, and the forensic harvest of the dead child's ring.
-  auto account_fault = [&](std::size_t i, std::size_t attempt,
-                           const HarnessFault& fault,
-                           support::FlightRecorder* recorder) {
-    fault_count.fetch_add(1, std::memory_order_relaxed);
-    board.faults.fetch_add(1, std::memory_order_relaxed);
-    mm.reg.add(mm.harness_faults);
-    if (fault.kind == HarnessFault::Kind::kResourceExhausted) {
-      rlimit_kill_count.fetch_add(1, std::memory_order_relaxed);
-      mm.reg.add(mm.rlimit_kills);
-    } else if (fault.kind == HarnessFault::Kind::kModelFault) {
-      model_fault_count.fetch_add(1, std::memory_order_relaxed);
-      mm.reg.add(mm.model_faults);
-      if (support::trace_active()) {
-        support::TraceEvent event("model_fault");
-        event.num("cell", static_cast<double>(i))
-            .num("code", static_cast<double>(fault.detail))
-            .str("fault", fault.describe());
-        support::trace(std::move(event));
-      }
-    }
-    if (support::trace_active()) {
-      support::TraceEvent event("harness_fault");
-      event.num("cell", static_cast<double>(i))
-          .num("attempt", static_cast<double>(attempt))
-          .num("kind", static_cast<double>(fault.kind))
-          .str("fault", fault.describe());
-      support::trace(std::move(event));
-    }
-    publish_forensics(i, attempt, fault, recorder);
-  };
-
-  // One cell body, two stack sources: a reset pooled slot or a
-  // throwaway CellVm (provably equivalent — see PooledVm::reset).
-  // Either stack is built for the cell's capability profile. Shared by
-  // the in-process path and the sandboxed child, which is what makes
-  // "clean sandboxed cell ≡ in-process cell" a serialization round-trip
-  // property rather than a hope.
-  auto run_cell_body = [&](const TestCaseSpec& spec, std::size_t worker_index,
-                           const VmBehavior& behavior)
-      -> std::pair<TestCaseResult,
-                   std::vector<std::pair<hv::BlockKey, std::uint8_t>>> {
-    const vtx::VmxCapabilityProfile& profile = vtx::profile_by_id(spec.profile);
-    std::optional<CellVm> throwaway;
-    hv::Hypervisor* cell_hv = nullptr;
-    Manager* cell_manager = nullptr;
-    if (pool) {
-      PooledVm& slot = pool->worker(worker_index);
-      slot.reset(profile);
-      cell_hv = &slot.hv();
-      cell_manager = &slot.manager();
-    } else {
-      throwaway.emplace(config_, profile);
-      cell_hv = &throwaway->hv;
-      cell_manager = &throwaway->manager;
-    }
-    Fuzzer fuzzer(*cell_manager, config_.fuzzer);
-    TestCaseResult result =
-        fuzzer.run_test_case(spec, behavior, imports,
-                             sync_enabled ? config_.import_mutants : 0);
-    auto cov = cell_coverage(cell_hv->coverage());
-    return {std::move(result), std::move(cov)};
-  };
-
-  // Sandboxed execution: fork, run the cell body in the child, pipe the
-  // serialized CheckpointCell back, supervise with a watchdog deadline.
-  // Returns nullopt on success (result stored iff store_result — the
-  // re-probe pass runs discarded canary probes through here), or the
-  // fault.
-  //
-  // Fork safety: the behavior was recorded (and any cell_exec failpoint
-  // evaluated) in the parent BEFORE forking, so the child never takes
-  // behaviors_mutex, journal_mutex, or a metrics-registry lock — another
-  // worker could be holding any of them at fork time.
-  // note_forked_child() suppresses child-side metric registration for
-  // the same reason, and the failpoint table itself is read lock-free.
-  auto run_cell_sandboxed = [&](std::size_t i, const TestCaseSpec& spec,
-                                std::size_t worker_index,
-                                const VmBehavior& behavior,
-                                const SandboxLimits& limits, bool store_result,
-                                support::FlightRecorder* recorder)
-      -> std::optional<HarnessFault> {
-    std::optional<support::failpoints::Hit> injected;
-    if (support::failpoints::active()) {
-      injected = support::failpoints::evaluate("cell_exec", i);
-    }
-    // Fresh ring per attempt, cleared in the parent BEFORE the fork so
-    // a harvest after this attempt's death never shows a predecessor's
-    // crumbs.
-    if (recorder != nullptr) recorder->reset();
-    int fds[2];
-    if (::pipe(fds) != 0) {
-      return HarnessFault{HarnessFault::Kind::kProtocol, errno, {}};
-    }
-    const ::pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(fds[0]);
-      ::close(fds[1]);
-      return HarnessFault{HarnessFault::Kind::kProtocol, errno, {}};
-    }
-    if (pid == 0) {
-      // --- Child: run the cell, deliver the framed result, _exit.
-      ::close(fds[0]);
-      support::failpoints::note_forked_child();
-      support::modelfault::set_sink_fd(fds[1]);
-      apply_child_rlimits(limits);
-      // Arm the inherited MAP_SHARED ring: from here every breadcrumb
-      // the child drops is visible to the parent with no flush, however
-      // the child dies.
-      if (recorder != nullptr) recorder->arm();
-      // A cell_exec alloc= hit returns from execute_fatal and runs the
-      // cell under the injected memory pressure — the rlimit kill (or
-      // survival) is the behavior under test. Every other action dies
-      // here.
-      if (injected) support::failpoints::execute_fatal(*injected);
-      const support::modelfault::CellScope cell_scope(i);
-      auto [result, cov] = run_cell_body(spec, worker_index, behavior);
-      campaign::CheckpointCell cell;
-      cell.index = i;
-      cell.sync_epoch = sync_epoch;
-      cell.result = std::move(result);
-      cell.coverage = std::move(cov);
-      ByteWriter payload;
-      campaign::serialize_checkpoint_cell(cell, payload);
-      ByteWriter frame;
-      frame.u32(kSandboxFrameMagic);
-      frame.u32(static_cast<std::uint32_t>(payload.size()));
-      frame.u64(fnv1a(payload.data()));
-      frame.bytes(payload.data());
-      const auto& bytes = frame.data();
-      std::size_t off = 0;
-      while (off < bytes.size()) {
-        const ::ssize_t n =
-            ::write(fds[1], bytes.data() + off, bytes.size() - off);
-        if (n < 0) {
-          if (errno == EINTR) continue;
-          ::_exit(3);  // result undeliverable; parent records kExit
-        }
-        off += static_cast<std::size_t>(n);
-      }
-      ::_exit(0);
-    }
-    // --- Parent: drain the pipe under the deadline, then reap.
-    ::close(fds[1]);
-    std::vector<std::uint8_t> buf;
-    bool deadline_hit = false;
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(limits.deadline_seconds));
-    for (;;) {
-      int timeout_ms = -1;
-      if (limits.deadline_seconds > 0 && !deadline_hit) {
-        const auto remaining_ms =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                deadline - std::chrono::steady_clock::now())
-                .count();
-        timeout_ms = remaining_ms < 0
-                         ? 0
-                         : static_cast<int>(std::min<long long>(
-                               remaining_ms, INT_MAX));
-      }
-      struct ::pollfd pfd{fds[0], POLLIN, 0};
-      const int rc = ::poll(&pfd, 1, timeout_ms);
-      if (rc < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      if (rc == 0) {
-        // Watchdog: the cell overran its deadline. Kill and keep
-        // draining — EOF follows the death.
-        deadline_hit = true;
-        ::kill(pid, SIGKILL);
-        continue;
-      }
-      std::uint8_t chunk[4096];
-      const ::ssize_t n = ::read(fds[0], chunk, sizeof(chunk));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      if (n == 0) break;  // EOF: child finished writing or died
-      buf.insert(buf.end(), chunk, chunk + n);
-    }
-    ::close(fds[0]);
-    int status = 0;
-    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-    }
-    if (deadline_hit) {
-      return HarnessFault{HarnessFault::Kind::kDeadline, SIGKILL, {}};
-    }
-    if (WIFSIGNALED(status)) {
-      const int sig = WTERMSIG(status);
-      // RLIMIT_CPU kills with SIGXCPU at the soft limit — a resource
-      // classification, not a crash.
-      if (sig == SIGXCPU) {
-        return HarnessFault{HarnessFault::Kind::kResourceExhausted, sig, {}};
-      }
-      return HarnessFault{HarnessFault::Kind::kSignal, sig, {}};
-    }
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-      // The RLIMIT_AS new-handler and failpoints::execute_alloc both
-      // exit through the dedicated resource-exhaustion code.
-      if (code == support::failpoints::kResourceExhaustedExit) {
-        return HarnessFault{HarnessFault::Kind::kResourceExhausted, code, {}};
-      }
-      return HarnessFault{HarnessFault::Kind::kExit, code, {}};
-    }
-    // Exit 0: the frame must parse, checksum, and name this cell. Two
-    // frames share the pipe shape: a result ("IRSB") or a structured
-    // model fault ("IRMF"), told apart by the magic alone.
-    ByteReader r(buf);
-    auto magic = r.u32();
-    auto len = r.u32();
-    auto checksum = r.u64();
-    if (!magic.ok() ||
-        (magic.value() != kSandboxFrameMagic &&
-         magic.value() != support::modelfault::kModelFaultFrameMagic) ||
-        !len.ok() || !checksum.ok() || len.value() != r.remaining()) {
-      return HarnessFault{HarnessFault::Kind::kProtocol, 0, {}};
-    }
-    const std::span<const std::uint8_t> payload =
-        std::span(buf).subspan(16);
-    if (fnv1a(payload) != checksum.value()) {
-      return HarnessFault{HarnessFault::Kind::kProtocol, 1, {}};
-    }
-    ByteReader pr(payload);
-    if (magic.value() == support::modelfault::kModelFaultFrameMagic) {
-      auto fault = support::modelfault::deserialize_model_fault(pr);
-      if (!fault.ok() || !pr.exhausted()) {
-        return HarnessFault{HarnessFault::Kind::kProtocol, 2, {}};
-      }
-      HarnessFault out_fault;
-      out_fault.kind = HarnessFault::Kind::kModelFault;
-      out_fault.detail = fault.value().code;
-      out_fault.message = fault.value().describe();
-      return out_fault;
-    }
-    auto cell = campaign::deserialize_checkpoint_cell(pr);
-    if (!cell.ok() || !pr.exhausted() || cell.value().index != i) {
-      return HarnessFault{HarnessFault::Kind::kProtocol, 2, {}};
-    }
-    if (store_result) {
-      auto taken = std::move(cell).take();
-      out.results[i] = std::move(taken.result);
-      cell_cov[i] = std::move(taken.coverage);
-    }
-    return std::nullopt;
-  };
-
-  auto work = [&](std::size_t worker_index) {
-    support::FlightRecorder* const recorder =
-        recorder_enabled ? recorders[worker_index].get() : nullptr;
-    for (std::size_t i = worker_index; i < grid.size(); i += workers) {
-      if (done[i] != 0 || poisoned[i] != 0) continue;  // journaled already
-      if (config_.stop != nullptr &&
-          config_.stop->load(std::memory_order_relaxed)) {
-        // Cooperative stop: the in-flight cell (if any) already
-        // finished and journaled; just stop claiming new ones.
-        saw_stop.store(true, std::memory_order_relaxed);
-        return;
-      }
-      board.tick();
-      if (config_.gate != nullptr) {
-        config_.gate->heartbeat();
-        if (!config_.gate->try_claim(i)) continue;  // another shard's range
-      }
-      if (!claim_budget()) return;
-      const TestCaseSpec& spec = grid[i];
-      const VmBehavior& behavior = ensure_behavior(spec.workload, worker_index);
-      board.set_in_flight(worker_index, i);
-      if (support::trace_active()) {
-        support::TraceEvent event("cell_start");
-        event.num("cell", static_cast<double>(i))
-            .num("worker", static_cast<double>(worker_index));
-        support::trace(std::move(event));
-      }
-      const auto cell_started = std::chrono::steady_clock::now();
-      if (config_.sandbox_cells) {
-        // Fault containment: each attempt runs in a fresh child; faults
-        // are retried with jittered backoff, then quarantined.
-        const std::size_t max_attempts = 1 + config_.cell_retries;
-        std::optional<HarnessFault> fault;
-        for (std::size_t attempt = 1; attempt <= max_attempts; ++attempt) {
-          const auto attempt_started = std::chrono::steady_clock::now();
-          fault = run_cell_sandboxed(i, spec, worker_index, behavior,
-                                     base_limits, /*store_result=*/true,
-                                     recorder);
-          // Per-attempt fork + pipe + reap latency, faulted or not.
-          mm.reg.observe(
-              mm.sandbox_cell_us,
-              std::chrono::duration<double, std::micro>(
-                  std::chrono::steady_clock::now() - attempt_started)
-                  .count());
-          if (!fault) break;
-          account_fault(i, attempt, *fault, recorder);
-          // Defensive: re-establish the worker's pooled stack from
-          // scratch after reaping a dead harness.
-          if (pool) {
-            pool->rebuild(worker_index);
-            mm.reg.add(mm.pool_rebuilds);
-          }
-          if (attempt < max_attempts) {
-            support::RetryPolicy backoff;
-            backoff.base_delay_ms = config_.retry_base_backoff_ms;
-            backoff.multiplier = 2.0;
-            backoff.max_delay_ms = 2000.0;
-            backoff.jitter_seed =
-                0x9E3779B97F4A7C15ULL ^ (i * 0x100000001B3ULL);
-            const double backoff_ms = support::retry_delay_ms(backoff, attempt);
-            mm.reg.add(mm.cell_retries);
-            if (support::trace_active()) {
-              support::TraceEvent event("retry");
-              event.num("cell", static_cast<double>(i))
-                  .num("attempt", static_cast<double>(attempt))
-                  .num("backoff_ms", backoff_ms);
-              support::trace(std::move(event));
-            }
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(backoff_ms));
-          }
-        }
-        if (fault) {
-          std::fprintf(stderr,
-                       "campaign: cell %zu poisoned after %zu attempts: %s\n",
-                       i, max_attempts, fault->describe().c_str());
-          poisoned[i] = 1;
-          board.poisoned.fetch_add(1, std::memory_order_relaxed);
-          mm.reg.add(mm.cells_poisoned);
-          if (support::trace_active()) {
-            support::TraceEvent event("quarantine");
-            event.num("cell", static_cast<double>(i))
-                .num("attempts", static_cast<double>(max_attempts))
-                .str("fault", fault->describe());
-            support::trace(std::move(event));
-          }
-          board.set_in_flight(worker_index, StatusBoard::kIdle);
-          const bool journaled = journal_poison(PoisonedCell{
-              i, static_cast<std::uint32_t>(max_attempts), *fault});
-          // A journaled quarantine retires the range exactly like a
-          // journaled result: the reducer will see and report it.
-          if (config_.gate != nullptr && journaled) config_.gate->completed(i);
-          continue;
-        }
-      } else {
-        // In-process mode: arm this worker's private ring around the
-        // cell body. There is no fault path here (a dying cell takes the
-        // process with it), so the ring is never harvested — this path
-        // exists to prove the armed hooks leave results byte-identical
-        // and to carry the armed-overhead bench leg.
-        std::optional<support::ArmedFlightRecorder> armed;
-        if (recorder != nullptr) {
-          recorder->reset();
-          armed.emplace(*recorder);
-        }
-        auto [result, cov] = run_cell_body(spec, worker_index, behavior);
-        armed.reset();
-        out.results[i] = std::move(result);
-        cell_cov[i] = std::move(cov);
-      }
-      done[i] = 1;
-      const double cell_us =
-          std::chrono::duration<double, std::micro>(
-              std::chrono::steady_clock::now() - cell_started)
-              .count();
-      const std::size_t cell_executed = out.results[i].executed;
-      board.done.fetch_add(1, std::memory_order_relaxed);
-      board.executed.fetch_add(cell_executed, std::memory_order_relaxed);
-      board.set_in_flight(worker_index, StatusBoard::kIdle);
-      mm.reg.add(mm.cells_done);
-      mm.reg.add(mm.mutants, cell_executed);
-      mm.reg.observe(mm.cell_us, cell_us);
-      if (support::trace_active()) {
-        const TestCaseResult& r = out.results[i];
-        support::TraceEvent event("cell_done");
-        event.num("cell", static_cast<double>(i))
-            .num("executed", static_cast<double>(r.executed))
-            .num("vm_crashes", static_cast<double>(r.vm_crashes))
-            .num("hv_crashes", static_cast<double>(r.hv_crashes))
-            .num("wall_ms", cell_us / 1000.0);
-        support::trace(std::move(event));
-      }
-      const bool journaled = journal_cell(i);
-      // Only journaled cells may retire toward a (final) done marker:
-      // the reducer can only ever see journaled results, so a cell lost
-      // to a persistence failure must leave its range claimable for a
-      // shard whose journal works.
-      if (config_.gate != nullptr && journaled) config_.gate->completed(i);
-    }
-  };
-
+  CellExecutor exec(config_, workers, state);
+  CellPolicy policy(config_, state, exec, events);
+  const auto started = Clock::now();
   if (workers == 1) {
-    work(0);
+    policy.grid_pass(0, 1);
   } else {
     std::vector<std::thread> threads;
     threads.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(work, w);
+    for (std::size_t w = 0; w < workers; ++w) {
+      threads.emplace_back([&policy, w, workers] { policy.grid_pass(w, workers); });
+    }
     for (auto& t : threads) t.join();
   }
+  policy.reprobe_pass();
+  state.out.elapsed_seconds =
+      std::chrono::duration<double>(Clock::now() - started).count();
 
-  // --- Poison-aware re-probe: after the grid pass, each still-poisoned
-  // cell (fresh quarantine or resumed) gets one more chance on a
-  // degraded profile — a freshly rebuilt pool slot, a reduced mutant
-  // budget, half the deadline and CPU budget. The probe result is
-  // DISCARDED: a clean probe only earns a full-fidelity re-execution,
-  // because journaling a reduced-budget result would hand the reducer
-  // two conflicting records for one index. A clean full run
-  // rehabilitates the cell (journaled like any clean cell —
-  // clean-cell-wins does the rest on resume and reduce); a failed one
-  // re-poisons with the updated attempt history. Main thread only, so
-  // it borrows worker slot 0.
-  std::size_t reprobe_rounds = 0;
-  std::size_t rehabilitated_count = 0;
-  if (config_.sandbox_cells && config_.reprobe_poisoned &&
-      !out.poisoned_cells.empty() &&
-      !(config_.stop != nullptr &&
-        config_.stop->load(std::memory_order_relaxed))) {
-    std::sort(out.poisoned_cells.begin(), out.poisoned_cells.end(),
-              [](const PoisonedCell& a, const PoisonedCell& b) {
-                return a.index < b.index;
-              });
-    std::vector<PoisonedCell> still_poisoned;
-    // Main thread only (workers joined) — borrow worker 0's recorder
-    // like it borrows worker slot 0.
-    support::FlightRecorder* const reprobe_recorder =
-        recorder_enabled ? recorders[0].get() : nullptr;
-    auto journal_reprobe = [&](const campaign::ReprobeRecord& record) {
-      const std::lock_guard<std::mutex> lock(journal_mutex);
-      if (!checkpoint || journal_degraded) return;
-      if (const auto status = checkpoint->append_reprobe(record);
-          !status.ok()) {
-        if (out.persistence_error.empty()) {
-          out.persistence_error = status.error().message;
-        }
-        journal_degraded = true;
-      }
-    };
-    for (PoisonedCell poison : out.poisoned_cells) {
-      const std::size_t i = poison.index;
-      if (i >= grid.size() || done[i] != 0) continue;
-      ++reprobe_rounds;
-      mm.reg.add(mm.reprobes);
-      const TestCaseSpec& spec = grid[i];
-      const VmBehavior& behavior = ensure_behavior(spec.workload, 0);
-      // Round number is per-journal history: earlier runs' re-probes of
-      // this cell (loaded at open) come first.
-      std::uint32_t round = 1;
-      if (checkpoint) {
-        for (const auto& rp : checkpoint->reprobes()) {
-          if (rp.index == i) ++round;
-        }
-      }
-      // Degraded canary probe on a fresh slot.
-      if (pool) {
-        pool->rebuild(0);
-        mm.reg.add(mm.pool_rebuilds);
-      }
-      TestCaseSpec probe_spec = spec;
-      probe_spec.mutants = std::min(spec.mutants, config_.reprobe_probe_mutants);
-      SandboxLimits probe_limits = base_limits;
-      if (probe_limits.deadline_seconds > 0) {
-        probe_limits.deadline_seconds =
-            std::max(1.0, probe_limits.deadline_seconds / 2);
-      }
-      if (probe_limits.cpu_seconds > 0) {
-        probe_limits.cpu_seconds =
-            std::max<std::uint64_t>(1, probe_limits.cpu_seconds / 2);
-      }
-      std::uint32_t attempts_spent = 1;
-      auto fault = run_cell_sandboxed(i, probe_spec, 0, behavior, probe_limits,
-                                      /*store_result=*/false,
-                                      reprobe_recorder);
-      if (!fault) {
-        // Clean probe: full-fidelity re-execution, again on a fresh
-        // slot, under the ordinary limits.
-        if (pool) {
-          pool->rebuild(0);
-          mm.reg.add(mm.pool_rebuilds);
-        }
-        ++attempts_spent;
-        fault = run_cell_sandboxed(i, spec, 0, behavior, base_limits,
-                                   /*store_result=*/true, reprobe_recorder);
-      }
-      const std::uint32_t attempts_total = poison.attempts + attempts_spent;
-      campaign::ReprobeRecord record;
-      record.index = i;
-      record.round = round;
-      record.attempts_total = attempts_total;
-      if (!fault) {
-        record.outcome = campaign::kReprobeRehabilitated;
-        journal_reprobe(record);
-        done[i] = 1;
-        poisoned[i] = 0;
-        ++rehabilitated_count;
-        mm.reg.add(mm.rehabilitated);
-        mm.reg.add(mm.cells_done);
-        mm.reg.add(mm.mutants, out.results[i].executed);
-        board.done.fetch_add(1, std::memory_order_relaxed);
-        board.executed.fetch_add(out.results[i].executed,
-                                 std::memory_order_relaxed);
-        // Resumed poisons never bumped this run's board counter; only
-        // un-count quarantines it actually counted. (Single-threaded
-        // here — the workers joined.)
-        if (const auto cur = board.poisoned.load(std::memory_order_relaxed);
-            cur > 0) {
-          board.poisoned.store(cur - 1, std::memory_order_relaxed);
-        }
-        std::fprintf(stderr,
-                     "campaign: cell %zu rehabilitated by re-probe round %u\n",
-                     i, round);
-        journal_cell(i);
-      } else {
-        account_fault(i, attempts_spent, *fault, reprobe_recorder);
-        if (pool) {
-          pool->rebuild(0);
-          mm.reg.add(mm.pool_rebuilds);
-        }
-        poison.attempts = attempts_total;
-        poison.fault = *fault;
-        record.outcome = campaign::kReprobeRepoisoned;
-        record.fault_kind = static_cast<std::uint8_t>(fault->kind);
-        record.detail = fault->detail;
-        record.message = fault->describe();
-        if (forensic_written[i] != 0) {
-          record.message += " forensics=" + campaign::forensic_file_name(i);
-        }
-        journal_reprobe(record);
-        std::fprintf(stderr,
-                     "campaign: cell %zu re-poisoned by re-probe round %u: %s\n",
-                     i, round, fault->describe().c_str());
-        still_poisoned.push_back(poison);
-      }
-      if (support::trace_active()) {
-        support::TraceEvent event("reprobe");
-        event.num("cell", static_cast<double>(i))
-            .num("round", static_cast<double>(round))
-            .num("attempts", static_cast<double>(attempts_total))
-            .str("outcome", fault ? "repoisoned" : "rehabilitated");
-        if (fault) event.str("fault", fault->describe());
-        support::trace(std::move(event));
-      }
-    }
-    out.poisoned_cells = std::move(still_poisoned);
-    board.publish_now();
-  }
-
-  out.elapsed_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
-          .count();
-  // A poisoned cell keeps done[i] == 0: the campaign outcome is
-  // honestly partial (complete == false, the cell's result a
-  // placeholder) even though the cell will never be re-run here.
-  out.complete =
-      std::all_of(done.begin(), done.end(), [](char d) { return d != 0; });
-  out.cells_completed.assign(done.begin(), done.end());
-  out.harness_faults = fault_count.load(std::memory_order_relaxed);
-  out.rlimit_kills = rlimit_kill_count.load(std::memory_order_relaxed);
-  out.model_faults = model_fault_count.load(std::memory_order_relaxed);
-  out.forensics_written = forensics_count.load(std::memory_order_relaxed);
-  out.cells_reprobed = reprobe_rounds;
-  out.cells_rehabilitated = rehabilitated_count;
-  out.interrupted = saw_stop.load(std::memory_order_relaxed);
-  std::sort(out.poisoned_cells.begin(), out.poisoned_cells.end(),
-            [](const PoisonedCell& a, const PoisonedCell& b) {
-              return a.index < b.index;
-            });
-
-  // --- Merge phase, shared with the distributed reducer. ---
-  finalize_campaign_result(cell_cov, out);
-
-  // --- One replayable reproducer per crash bucket. ---
-  if (!config_.crash_archive_dir.empty()) {
-    campaign::CrashArchive archive(config_.crash_archive_dir);
-    auto record_error = [&](const Status& status) {
-      if (!status.ok() && out.persistence_error.empty()) {
-        out.persistence_error = status.error().message;
-      }
-    };
-    record_error(archive.init());
-    for (const DedupedCrash& bucket : out.unique_crashes) {
-      const TestCaseResult& cell = out.results[bucket.spec_index];
-      const VmBehavior& behavior = ensure_behavior(cell.spec.workload, 0);
-      campaign::CrashReproducer repro;
-      repro.key = bucket.key;
-      repro.spec = cell.spec;
-      repro.hv_seed = config_.hv_seed;
-      repro.async_noise_prob = config_.async_noise_prob;
-      repro.target_index = cell.target_index;
-      repro.replay = config_.fuzzer.replay;
-      // target_index may come from a checkpoint file; bound it by the
-      // behavior length before reserving, exactly as the loop does.
-      const std::size_t prefix_len =
-          std::min(cell.target_index + 1, behavior.size());
-      repro.prefix.reserve(prefix_len);
-      for (std::size_t s = 0; s < prefix_len; ++s) {
-        repro.prefix.push_back(behavior[s].seed);
-      }
-      repro.mutant = bucket.first.mutant;
-      // If a forensic record exists for this bucket's cell (some attempt
-      // faulted before the clean run that found the crash), attach its
-      // name and copy the file beside the reproducer — the archive stays
-      // self-contained for triage on another machine.
-      if (!config_.forensics_dir.empty() &&
-          bucket.spec_index < forensic_written.size() &&
-          forensic_written[bucket.spec_index] != 0) {
-        repro.forensics_name =
-            campaign::forensic_file_name(bucket.spec_index);
-        auto bytes = read_file_bytes(config_.forensics_dir + "/" +
-                                     repro.forensics_name);
-        if (bytes.ok()) {
-          record_error(write_file_atomic(config_.crash_archive_dir,
-                                         repro.forensics_name,
-                                         bytes.value()));
-        }
-      }
-      record_error(archive.write(repro));
-    }
-  }
-
-  out.mutants_per_second =
-      out.elapsed_seconds > 0.0
-          ? static_cast<double>(out.executed) / out.elapsed_seconds
+  finalize(state, events, policy.interrupted());
+  archive_crashes(config_, state, exec);
+  state.out.mutants_per_second =
+      state.out.elapsed_seconds > 0.0
+          ? static_cast<double>(state.out.executed) / state.out.elapsed_seconds
           : 0.0;
   // Final publication with the run's closing counts. Not a "finished"
   // status: a distributed shard runs several claim passes per shard
   // lifetime, and only the layer that knows the last pass ended (the
   // DistributedCampaign / the CLI) can say so.
-  board.publish_now();
-  return out;
+  events.publish_now();
+  return std::move(state.out);
 }
 
 }  // namespace iris::fuzz

@@ -19,6 +19,29 @@
 // per-worker stack returned to that state by PooledVm::reset(), whose
 // equivalence with a fresh stack is asserted via hv::state_digest.
 // Either way, sharding cannot change results.
+//
+// Shape of a run (campaign.cpp). CampaignRunner::run is a short driver:
+// resume from the checkpoint journal → resolve the corpus-sync epoch →
+// grid pass (worker threads) → re-probe pass → finalize (the merge
+// shared with campaign::reduce_journals) → crash archive. It drives
+// three internal pieces:
+//   - the cell executor runs one attempt of one cell, in-process or in a
+//     forked, watchdog-supervised sandbox child, and returns the result
+//     or a HarnessFault. It alone knows fork/pipe/watchdog, rlimits and
+//     the IRSB/IRMF result frames; both paths share one cell body, so a
+//     clean sandboxed cell is byte-identical to an in-process one.
+//   - the cell policy owns what happens around attempts: jittered
+//     backoff, retry, quarantine, and the degraded end-of-run re-probe
+//     that rehabilitates or re-poisons. Both passes share one fault step
+//     (account, forensics, slot rebuild) and one journal-append helper
+//     that degrades the journal once, on the first permanent failure.
+//   - one CampaignEvent emit covers a closed set of event kinds
+//     (cell_start, cell_done, harness_fault, model_fault, retry,
+//     quarantine, reprobe, forensics, sync_epoch, degrade, resumed). It
+//     bumps the per-run tallies — the only source of CampaignResult's
+//     fault fields and of the status file — and the same-named metrics
+//     registry counters, and builds the trace event. Nothing it touches
+//     feeds back into what a cell computes.
 #pragma once
 
 #include <atomic>
@@ -348,9 +371,10 @@ struct CampaignResult {
   bool interrupted = false;
 };
 
-/// False under AddressSanitizer (the shadow mapping reserves terabytes
-/// of address space, so any useful RLIMIT_AS cap would kill every clean
-/// cell); true elsewhere. Gates CampaignConfig::rlimit_as_mb.
+/// False under AddressSanitizer and ThreadSanitizer (their shadow
+/// mappings reserve terabytes of address space, so any useful RLIMIT_AS
+/// cap would kill every clean cell); true elsewhere. Gates
+/// CampaignConfig::rlimit_as_mb.
 bool rlimit_as_supported() noexcept;
 
 /// Merge phase shared by CampaignRunner and campaign::reduce_journals:

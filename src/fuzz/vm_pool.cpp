@@ -58,6 +58,13 @@ void PooledVm::reset(const vtx::VmxCapabilityProfile& profile) {
 #endif
 }
 
+void VmPool::rebuild(std::size_t index) {
+  slots_.at(index).reset();
+  auto& reg = support::metrics();
+  static const support::MetricId rebuilds = reg.counter_id("pool.rebuilds");
+  reg.add(rebuilds);
+}
+
 std::uint64_t PooledVm::fresh_digest(const vtx::VmxCapabilityProfile& profile) {
   if (profile.is_baseline()) return fresh_digest_;
   const auto [it, inserted] = profile_digests_.try_emplace(profile.id, 0);

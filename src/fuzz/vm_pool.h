@@ -94,8 +94,8 @@ class VmPool {
   /// child: the parent's slot was never touched by the child (separate
   /// address space), but a harness that just died is exactly when "reset
   /// provably equals fresh" should be re-established from an actually
-  /// fresh stack rather than assumed.
-  void rebuild(std::size_t index) { slots_.at(index).reset(); }
+  /// fresh stack rather than assumed. Counted as pool.rebuilds.
+  void rebuild(std::size_t index);
 
   /// Stacks actually constructed (observability for tests/benches).
   [[nodiscard]] std::size_t constructed() const noexcept {

@@ -279,19 +279,4 @@ class FlightSpan {
   bool armed_;
 };
 
-/// Scoped arm/disarm for in-process (non-sandbox) recording.
-class ArmedFlightRecorder {
- public:
-  explicit ArmedFlightRecorder(FlightRecorder& recorder) noexcept
-      : recorder_(recorder) {
-    recorder_.arm();
-  }
-  ~ArmedFlightRecorder() { recorder_.disarm(); }
-  ArmedFlightRecorder(const ArmedFlightRecorder&) = delete;
-  ArmedFlightRecorder& operator=(const ArmedFlightRecorder&) = delete;
-
- private:
-  FlightRecorder& recorder_;
-};
-
 }  // namespace iris::support

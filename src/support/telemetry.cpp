@@ -9,7 +9,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
-#include <set>
+#include <map>
+
+#include <pthread.h>
 
 #include "support/retry.h"
 
@@ -50,13 +52,13 @@ struct Retired {
 /// never-reused generation id (a heap address could be recycled by a
 /// later registry; a generation cannot). A registry destroyed before
 /// some thread exits simply loses that thread's unretired counts —
-/// never a dangling dereference.
+/// never a dangling dereference. The fork handlers walk the same table.
 std::mutex& alive_mutex() {
   static auto* m = new std::mutex;
   return *m;
 }
-std::set<std::uint64_t>& alive_registries() {
-  static auto* s = new std::set<std::uint64_t>;
+std::map<std::uint64_t, MetricsRegistry::Impl*>& alive_registries() {
+  static auto* s = new std::map<std::uint64_t, MetricsRegistry::Impl*>;
   return *s;
 }
 std::uint64_t next_generation() {
@@ -183,11 +185,30 @@ Shard& local_shard(MetricsRegistry::Impl* impl) {
   return *shard;
 }
 
+/// Fork safety. A child forked while another thread held a registry
+/// mutex would deadlock on its first registration or shard attach (a
+/// sandboxed cell child registers its static metric ids and attaches a
+/// shard on first touch). The handlers hold the liveness mutex and every
+/// live registry's mutex across fork(), so both processes resume with
+/// all of them unlocked and the tables coherent. Lock order matches
+/// thread-exit retirement: liveness first, then a registry.
+void lock_registries_for_fork() {
+  alive_mutex().lock();
+  for (const auto& entry : alive_registries()) entry.second->mutex.lock();
+}
+void unlock_registries_after_fork() {
+  for (const auto& entry : alive_registries()) entry.second->mutex.unlock();
+  alive_mutex().unlock();
+}
+
 }  // namespace
 
 MetricsRegistry::MetricsRegistry() : impl_(new Impl()) {
+  [[maybe_unused]] static const bool fork_handlers_installed =
+      ::pthread_atfork(lock_registries_for_fork, unlock_registries_after_fork,
+                       unlock_registries_after_fork) == 0;
   const std::lock_guard<std::mutex> lock(alive_mutex());
-  alive_registries().insert(impl_->generation);
+  alive_registries().emplace(impl_->generation, impl_);
 }
 
 MetricsRegistry::~MetricsRegistry() {

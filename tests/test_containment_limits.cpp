@@ -12,10 +12,12 @@
 #include <vector>
 
 #include "campaign/checkpoint.h"
+#include "campaign/monitor.h"
 #include "campaign/reducer.h"
 #include "fuzz/campaign.h"
 #include "support/failpoints.h"
 #include "support/model_fault.h"
+#include "support/telemetry.h"
 
 namespace iris::campaign {
 namespace {
@@ -102,13 +104,13 @@ TEST(FailpointActions, MalformedAllocAmountIsRejected) {
 // --- RLIMIT_AS support gate ---
 
 TEST(RlimitSupport, MatchesTheSanitizerBuildConfiguration) {
-  // ASan/UBSan builds reserve terabytes of shadow address space; an
+  // ASan and TSan builds reserve terabytes of shadow address space; an
   // RLIMIT_AS cap would kill every cell at startup, so the runner must
   // report the cap unusable there and usable everywhere else.
-#if defined(__SANITIZE_ADDRESS__)
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   EXPECT_FALSE(fuzz::rlimit_as_supported());
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
   EXPECT_FALSE(fuzz::rlimit_as_supported());
 #else
   EXPECT_TRUE(fuzz::rlimit_as_supported());
@@ -469,6 +471,120 @@ TEST(Reprobe, PersistentPoisonIsRepoisonedWithAttemptHistory) {
   EXPECT_TRUE(healed.poisoned_cells.empty());
   EXPECT_EQ(canonical_result_bytes(healed),
             canonical_result_bytes(reference));
+}
+
+// --- One event, four sinks ---
+
+TEST(CampaignEvents, ResultRegistryStatusAndTraceAgreePerEventKind) {
+  const auto dir = scratch_dir("event-agreement");
+  const auto grid = small_grid();
+  const std::size_t retried = 2;                  // killed once, then clean
+  const std::size_t rehabbed = grid.size() / 2;   // quarantined, re-probed
+  const std::size_t modeled = grid.size() / 3;    // model fault, then clean
+  CampaignConfig config = sandbox_config(1);
+  config.checkpoint_path = (dir / "campaign.ckpt").string();
+  config.reprobe_poisoned = true;
+  config.forensics_dir = (dir / "forensics").string();
+  fs::create_directories(config.forensics_dir);
+  config.status_path = (dir / "status.json").string();
+  config.status_interval_seconds = 0.0;
+
+  auto& reg = support::metrics();
+  const auto before = reg.snapshot();
+  const std::string trace_path = (dir / "trace.jsonl").string();
+  ASSERT_TRUE(support::set_trace_path(trace_path, "agree").ok());
+  fuzz::CampaignResult result;
+  {
+    const FailpointGuard guard(
+        "cell_exec:signal=KILL:count=1:cell=" + std::to_string(retried) +
+        ";cell_exec:signal=KILL:count=2:cell=" + std::to_string(rehabbed) +
+        ";model_vmentry:modelfault:count=1:cell=" + std::to_string(modeled));
+    result = CampaignRunner(config).run(grid);
+  }
+  ASSERT_TRUE(support::set_trace_path("").ok());
+  const auto after = reg.snapshot();
+  auto status = read_status_file(config.status_path);
+  ASSERT_TRUE(status.ok()) << status.error().message;
+  auto trace = support::read_trace(trace_path);
+  ASSERT_TRUE(trace.ok()) << trace.error().message;
+
+  // The scenario really exercised every path it claims to.
+  EXPECT_TRUE(result.complete);
+  EXPECT_EQ(result.harness_faults, 4u);
+  EXPECT_EQ(result.model_faults, 1u);
+  EXPECT_EQ(result.cells_reprobed, 1u);
+  EXPECT_EQ(result.cells_rehabilitated, 1u);
+  EXPECT_EQ(result.forensics_written, 4u);
+
+  std::size_t rlimit_traced = 0;
+  std::size_t rehab_traced = 0;
+  std::size_t executed_traced = 0;
+  const auto traced = [&](std::string_view name) {
+    std::size_t n = 0;
+    for (const auto& event : trace.value().events) n += event.event == name;
+    return n;
+  };
+  for (const auto& event : trace.value().events) {
+    if (event.event == "harness_fault" && event.num("kind") == 4.0) {
+      ++rlimit_traced;
+    }
+    const std::string* outcome = event.field("outcome");
+    if (outcome != nullptr && *outcome == "rehabilitated") ++rehab_traced;
+    if (event.event == "cell_done") {
+      executed_traced += static_cast<std::size_t>(event.num("executed").value());
+    }
+  }
+  // A rehabilitated cell is journaled by its re-probe, which carries no
+  // cell_done event: its mutants come from the result.
+  executed_traced += result.results[rehabbed].executed;
+
+  struct Row {
+    const char* counter;
+    std::size_t result;  ///< the CampaignResult view
+    std::size_t traced;  ///< the trace-stream view
+  };
+  const std::size_t quarantined =
+      result.poisoned_cells.size() + result.cells_rehabilitated;
+  const Row rows[] = {
+      {"campaign.harness_faults", result.harness_faults, traced("harness_fault")},
+      {"fuzz.model_faults", result.model_faults, traced("model_fault")},
+      {"cell.rlimit_kills", result.rlimit_kills, rlimit_traced},
+      {"campaign.cell_retries", 3, traced("retry")},
+      {"campaign.cells_poisoned", quarantined, traced("quarantine")},
+      {"poison.reprobes", result.cells_reprobed, traced("reprobe")},
+      {"poison.rehabilitated", result.cells_rehabilitated, rehab_traced},
+      {"forensics.written", result.forensics_written, traced("forensics")},
+      {"campaign.cells_done", grid.size(), traced("cell_done") + rehab_traced},
+      {"campaign.mutants", result.executed, executed_traced},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.counter);
+    EXPECT_EQ(after.counter(row.counter) - before.counter(row.counter),
+              row.result);
+    EXPECT_EQ(status.value().counter(row.counter) - before.counter(row.counter),
+              row.result);
+    EXPECT_EQ(row.traced, row.result);
+  }
+  EXPECT_EQ(traced("cell_start"), grid.size());
+  // The status file's own fields are views of the same per-run tallies.
+  EXPECT_EQ(status.value().harness_faults, result.harness_faults);
+  EXPECT_EQ(status.value().cells_done, grid.size());
+  EXPECT_EQ(status.value().cells_poisoned, result.poisoned_cells.size());
+  EXPECT_EQ(status.value().executed, result.executed);
+  EXPECT_TRUE(status.value().in_flight.empty());
+
+  // `resumed` is counted, never traced: a fully-resumed rerun agrees
+  // across the result, the registry and the status file.
+  const auto before_resume = reg.snapshot();
+  const auto resumed = CampaignRunner(config).run(grid);
+  auto resumed_status = read_status_file(config.status_path);
+  ASSERT_TRUE(resumed_status.ok());
+  EXPECT_EQ(resumed.cells_resumed, grid.size());
+  EXPECT_EQ(reg.snapshot().counter("campaign.cells_resumed") -
+                before_resume.counter("campaign.cells_resumed"),
+            resumed.cells_resumed);
+  EXPECT_EQ(resumed_status.value().cells_resumed, resumed.cells_resumed);
+  EXPECT_EQ(resumed_status.value().cells_done, grid.size());
 }
 
 }  // namespace

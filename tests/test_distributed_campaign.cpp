@@ -192,6 +192,36 @@ TEST(GridLease, ForeignCampaignOrGeometryRejected) {
   EXPECT_TRUE(GridLease::open(lease_config(dir, "b", 12, 3)).ok());
 }
 
+TEST(GridLease, ConcurrentOpensOfAFreshDirectoryAllSucceed) {
+  // Racing shards open one fresh lease directory. Exactly one publishes
+  // grid.meta; every other must read the winner's complete bytes, never
+  // an empty or half-written file it would mistake for a foreign
+  // campaign (error 73).
+  constexpr std::size_t kThreads = 8;
+  constexpr int kRounds = 40;
+  std::size_t failures = 0;
+  std::string first_error;
+  for (int round = 0; round < kRounds; ++round) {
+    const auto dir = scratch_dir("lease-open-race");
+    std::vector<std::string> errors(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        auto lease =
+            GridLease::open(lease_config(dir, "o" + std::to_string(t), 64, 4));
+        if (!lease.ok()) errors[t] = lease.error().message;
+      });
+    }
+    for (auto& t : threads) t.join();
+    for (const auto& error : errors) {
+      if (error.empty()) continue;
+      ++failures;
+      if (first_error.empty()) first_error = error;
+    }
+  }
+  EXPECT_EQ(failures, 0u) << first_error;
+}
+
 // --- Distributed runs reduce to the single-process bytes ---
 
 ShardConfig shard_config(const fs::path& dir, const std::string& id,

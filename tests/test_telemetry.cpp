@@ -7,11 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "campaign/checkpoint.h"
 #include "campaign/monitor.h"
@@ -154,6 +159,49 @@ TEST(MetricsRegistry, ExhaustedCapacityDegradesToInvalidMetricNoOps) {
   reg.set_gauge(kInvalidMetric, 1.0);
   reg.observe(kInvalidMetric, 1.0);
   EXPECT_EQ(reg.snapshot().counters.size(), registered);
+}
+
+TEST(MetricsRegistry, ForkedChildNeverInheritsAHeldRegistryLock) {
+  // A sandboxed cell child registers metric ids and attaches a shard on
+  // its first registry touch. If fork() lands while another thread is
+  // inside the registry's critical section, the child must still find
+  // the mutex free — a child that inherited it locked hangs forever.
+  MetricsRegistry reg;
+  std::atomic<bool> stop{false};
+  std::thread contender([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      (void)reg.counter_id("contended");
+      (void)reg.snapshot();
+    }
+  });
+  constexpr int kForks = 60;
+  bool hung = false;
+  for (int f = 0; f < kForks && !hung; ++f) {
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      // The forking thread never touched `reg`: both the registration
+      // and the shard attach below take the registry mutex.
+      reg.add(reg.counter_id("child"));
+      ::_exit(reg.snapshot().counter("child") == 1 ? 0 : 1);
+    }
+    int status = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!hung && ::waitpid(pid, &status, WNOHANG) == 0) {
+      hung = std::chrono::steady_clock::now() > deadline;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    if (hung) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, &status, 0);
+    } else {
+      EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << f;
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  contender.join();
+  EXPECT_FALSE(hung) << "a forked child deadlocked on the registry mutex";
 }
 
 // --- Trace stream ---
