@@ -5,21 +5,23 @@
 //      the "sandbox off costs nothing" claim is checked against the
 //      same number CI has always tracked),
 //   2. CampaignRunner with sandbox_cells off (the default), and
-//   3. CampaignRunner with sandbox_cells on — every cell forked,
-//      watchdog-supervised, and piped back through the IRSB frame.
+//   3. CampaignRunner with sandbox_cells on — every cell run in its
+//      worker's long-lived sandbox child, watchdog-supervised, and sent
+//      back through the IRSB frame.
 // The sandboxed result must be byte-identical to the in-process one
 // (campaign::canonical_result_bytes); the bench fails hard otherwise.
 //
 // A fourth leg re-runs the sandboxed campaign with per-cell rlimits
-// armed (generous enough never to fire): the setrlimit + new-handler
-// install per fork must be noise, and the bytes must stay identical.
+// armed (generous enough never to fire): the per-attempt CPU-budget
+// setrlimit and the spawn-time limits must be noise, and the bytes must
+// stay identical.
 //
 // Results are appended to BENCH_PR7.json:
 //   table1.mutants_per_second            raw hot loop (floor-checked in CI)
 //   sandbox.mutants_per_second_off       campaign, in-process cells
-//   sandbox.mutants_per_second_on        campaign, forked cells
-//   sandbox.mutants_per_second_rlimits   forked cells + rlimits armed
-//   sandbox.overhead_pct                 wall-clock cost of the fork+pipe
+//   sandbox.mutants_per_second_on        campaign, sandboxed cells
+//   sandbox.mutants_per_second_rlimits   sandboxed cells + rlimits armed
+//   sandbox.overhead_pct                 wall-clock cost of the sandbox
 //   sandbox.rlimits_overhead_pct         extra cost of arming the limits
 //   sandbox.identical                    1.0 when the bytes matched
 //   sandbox.rlimits_identical            1.0 when the rlimit leg matched
@@ -73,7 +75,7 @@ int main(int argc, char** argv) {
   const auto grid =
       fuzz::make_table1_grid({guest::Workload::kCpuBound}, mutants, seed);
   const unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
-  bench::print_header("sandboxed-cell overhead (fork + watchdog + result pipe)");
+  bench::print_header("sandboxed-cell overhead (sandbox child + watchdog + result frame)");
   std::printf("%zu cells, M=%zu, 1 worker, %u host CPU(s)\n\n", grid.size(),
               mutants, cpus);
 
@@ -143,9 +145,9 @@ int main(int argc, char** argv) {
               on_seconds);
   std::printf("campaign, sandbox+rlimits: %8.0f mutants/s (%.3f s)\n",
               limited_rate, limited_seconds);
-  std::printf("sandbox overhead:      %+7.1f%%  (fork + IRSB pipe per cell)\n",
+  std::printf("sandbox overhead:      %+7.1f%%  (job + IRSB frame per cell)\n",
               overhead_pct);
-  std::printf("rlimits overhead:      %+7.1f%%  (setrlimit per fork)\n",
+  std::printf("rlimits overhead:      %+7.1f%%  (setrlimit per attempt)\n",
               rlimits_overhead_pct);
   std::printf("byte-identical:        %s / %s (rlimits)\n",
               identical ? "yes" : "NO", rlimits_identical ? "yes" : "NO");

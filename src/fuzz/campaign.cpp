@@ -5,22 +5,17 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <new>
 #include <optional>
-#include <span>
+#include <shared_mutex>
 #include <string_view>
 #include <thread>
 
-#include <poll.h>
-#include <sys/resource.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "campaign/checkpoint.h"
@@ -28,6 +23,7 @@
 #include "campaign/crash_archive.h"
 #include "campaign/forensics.h"
 #include "campaign/monitor.h"
+#include "fuzz/sandbox.h"
 #include "fuzz/vm_pool.h"
 #include "support/failpoints.h"
 #include "support/flight_recorder.h"
@@ -41,12 +37,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 using Coverage = std::vector<std::pair<hv::BlockKey, std::uint8_t>>;
-
-/// Frame magic on the sandbox result pipe ("IRSB"): magic u32, payload
-/// length u32, fnv1a(payload) u64, payload (a serialized
-/// CheckpointCell). Anything else — short read, bad checksum, trailing
-/// bytes — is a kProtocol harness fault, never a crash.
-constexpr std::uint32_t kSandboxFrameMagic = 0x49525342;
 
 double us_since(Clock::time_point start) {
   return std::chrono::duration<double, std::micro>(Clock::now() - start)
@@ -81,58 +71,6 @@ Coverage cell_coverage(const hv::CoverageMap& cov) {
     blocks.emplace_back(block, cov.loc_of(block));
   }
   return blocks;
-}
-
-/// Resource limits one forked sandbox child runs under. The watchdog
-/// deadline rides along so the re-probe pass can degrade all of them
-/// coherently.
-struct SandboxLimits {
-  double deadline_seconds = 0.0;
-  std::uint64_t cpu_seconds = 0;  ///< RLIMIT_CPU; 0 = off
-  std::uint64_t as_mb = 0;        ///< RLIMIT_AS; 0 = off
-  std::int64_t core_mb = -1;      ///< RLIMIT_CORE; -1 = inherit
-
-  /// The re-probe's degraded profile: half the deadline and CPU budget,
-  /// floored at one second.
-  [[nodiscard]] SandboxLimits degraded() const {
-    SandboxLimits out = *this;
-    if (deadline_seconds > 0) {
-      out.deadline_seconds = std::max(1.0, deadline_seconds / 2);
-    }
-    if (cpu_seconds > 0) {
-      out.cpu_seconds = std::max<std::uint64_t>(1, cpu_seconds / 2);
-    }
-    return out;
-  }
-};
-
-/// Child-side rlimit installation, between fork() and the cell body.
-/// Failures are deliberately ignored (a host that refuses a tighter
-/// limit leaves the child exactly as contained as without one); the
-/// CPU hard limit sits one second above the soft one so the kill is a
-/// classifiable SIGXCPU, not a blunt SIGKILL.
-void apply_child_rlimits(const SandboxLimits& limits) {
-  if (limits.cpu_seconds > 0) {
-    const ::rlimit r{static_cast<rlim_t>(limits.cpu_seconds),
-                     static_cast<rlim_t>(limits.cpu_seconds + 1)};
-    (void)::setrlimit(RLIMIT_CPU, &r);
-  }
-  if (limits.as_mb > 0 && rlimit_as_supported()) {
-    const auto bytes = static_cast<rlim_t>(limits.as_mb) << 20;
-    const ::rlimit r{bytes, bytes};
-    (void)::setrlimit(RLIMIT_AS, &r);
-    // Under RLIMIT_AS a clean allocation path dies as bad_alloc ->
-    // std::terminate -> SIGABRT, indistinguishable from a model crash.
-    // Exit through the dedicated code instead so the parent classifies
-    // kResourceExhausted.
-    std::set_new_handler(
-        [] { ::_exit(support::failpoints::kResourceExhaustedExit); });
-  }
-  if (limits.core_mb >= 0) {
-    const auto bytes = static_cast<rlim_t>(limits.core_mb) << 20;
-    const ::rlimit r{bytes, bytes};
-    (void)::setrlimit(RLIMIT_CORE, &r);
-  }
 }
 
 // --- Campaign events ---------------------------------------------------
@@ -190,7 +128,8 @@ struct CampaignEvent {
   double wall_us = 0.0;     ///< cell_done: the whole cell incl. retries
   double backoff_ms = 0.0;  ///< retry
   /// harness_fault / cell_done of a sandboxed grid-pass attempt: its
-  /// fork + run + reap latency (0 = not measured).
+  /// job dispatch + run + result latency, including the fork when the
+  /// attempt spawns its child (0 = not measured).
   double attempt_us = 0.0;
   std::string_view error = {};  ///< degrade
 };
@@ -433,10 +372,10 @@ struct CellJob {
   std::size_t worker;
 };
 
-/// Runs one attempt of one cell, in-process or in a forked sandbox
-/// child, and returns its fault (nullopt = clean). The only code that
-/// knows fork, pipes, the watchdog, rlimits and the IRSB/IRMF frames.
-/// Both paths share body(), which makes "clean sandboxed cell ≡
+/// Runs one attempt of one cell, in-process or in the worker's sandbox
+/// child (fuzz/sandbox.h), and returns its fault (nullopt = clean). The
+/// only code that decides when a worker's child is spawned, reused or
+/// retired. Both paths share body(), which makes "clean sandboxed cell ≡
 /// in-process cell" a serialization round-trip property, not a hope.
 class CellExecutor {
  public:
@@ -452,12 +391,15 @@ class CellExecutor {
     }
     // One crash-surviving flight-recorder ring per worker, created
     // BEFORE any fork so every sandbox child inherits its worker's
-    // MAP_SHARED mapping; the parent resets it per attempt and harvests
-    // it after any harness fault.
+    // MAP_SHARED mapping; the parent harvests it after any harness fault.
     if (config.flight_recorder || !config.forensics_dir.empty()) {
       for (std::size_t w = 0; w < workers; ++w) {
         recorders_.push_back(std::make_unique<support::FlightRecorder>());
       }
+    }
+    if (config.sandbox_cells) {
+      children_ = std::vector<Child>(workers);
+      spawns_ = support::metrics().counter_id("sandbox.spawns");
     }
   }
 
@@ -498,9 +440,27 @@ class CellExecutor {
     return std::nullopt;
   }
 
-  /// Re-establish a worker's pooled stack from scratch.
+  /// Re-establish a worker's pooled stack from scratch; its sandbox
+  /// child, forked from the old stack, goes with it.
   void rebuild(std::size_t worker) {
+    retire(worker);
     if (pool_) pool_->rebuild(worker);
+  }
+
+  /// Bracket a worker thread's grid pass. In sandbox mode the worker
+  /// holds fork_gate_ shared for the whole pass, except while it waits
+  /// for its child's answer, and retires its child before its thread
+  /// ends: the child's parent-death signal follows the forking thread.
+  void begin_pass(std::size_t worker) {
+    if (worker >= children_.size()) return;
+    fork_gate_.lock_shared();
+    children_[worker].in_pass = true;
+  }
+  void end_pass(std::size_t worker) {
+    if (worker >= children_.size()) return;
+    retire(worker);
+    children_[worker].in_pass = false;
+    fork_gate_.unlock_shared();
   }
 
   [[nodiscard]] support::FlightRecorder* recorder(std::size_t worker) const {
@@ -508,6 +468,22 @@ class CellExecutor {
   }
 
  private:
+  /// A worker's sandbox child and the behaviors it copied at fork.
+  struct Child {
+    SandboxChild child;
+    std::uint32_t workloads = 0;  ///< bit w set: holds workload w's behavior
+    bool in_pass = false;  ///< the worker holds fork_gate_ shared
+  };
+
+  /// Kill and reap a worker's sandbox child, if it has one.
+  void retire(std::size_t worker) {
+    if (worker < children_.size()) children_[worker].child.retire();
+  }
+
+  static std::uint32_t workload_bit(guest::Workload workload) {
+    return std::uint32_t{1} << static_cast<unsigned>(workload);
+  }
+
   /// A stack for `profile`, from one of two sources: the worker's reset
   /// pooled slot, or a throwaway CellVm (provably equivalent — see
   /// PooledVm::reset).
@@ -536,12 +512,14 @@ class CellExecutor {
             cell_coverage(cell_hv->coverage())};
   }
 
-  /// Fork, run the body in the child, read the framed result back under
-  /// the watchdog. Fork safety: the behavior was recorded (and the
-  /// cell_exec failpoint evaluated) in the parent BEFORE forking, so the
-  /// child never takes behaviors_mutex_ or a journal lock another worker
-  /// could hold at fork time; the metrics registry guards its own locks
-  /// across fork, and the failpoint table is read lock-free.
+  /// One attempt in the worker's long-lived child. The cell_exec
+  /// failpoint is drawn here in the parent, once per attempt, and rides
+  /// in the job; the child executes it and is retired after the attempt.
+  /// A child is respawned when it would run under other limits, or when
+  /// its fork-time copy of behaviors_ lacks the job's workload (the
+  /// parent recorded it later). The sync-epoch imports need no such
+  /// rule: run() resolves them before the executor exists, so every
+  /// child's copy matches them.
   std::optional<HarnessFault> sandboxed(const CellJob& job,
                                         const SandboxLimits& limits,
                                         campaign::CheckpointCell* out) {
@@ -549,164 +527,45 @@ class CellExecutor {
     if (support::failpoints::active()) {
       injected = support::failpoints::evaluate("cell_exec", job.index);
     }
-    // Fresh ring per attempt, cleared BEFORE the fork so a harvest after
-    // this attempt's death never shows a predecessor's crumbs.
-    support::FlightRecorder* const ring = recorder(job.worker);
-    if (ring != nullptr) ring->reset();
-    int fds[2];
-    if (::pipe(fds) != 0) {
+    Child& c = children_[job.worker];
+    if (c.child.alive() && (c.child.limits() != limits ||
+                            (c.workloads & workload_bit(job.spec.workload)) == 0)) {
+      c.child.retire();
+    }
+    if (!c.child.alive() && !spawn(job.worker, limits)) {
       return HarnessFault{HarnessFault::Kind::kProtocol, errno, {}};
     }
-    const ::pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(fds[0]);
-      ::close(fds[1]);
-      return HarnessFault{HarnessFault::Kind::kProtocol, errno, {}};
-    }
-    if (pid == 0) {
-      ::close(fds[0]);
-      run_child(fds[1], job, limits, ring, injected);
-    }
-    ::close(fds[1]);
-    bool deadline_hit = false;
-    const std::vector<std::uint8_t> frame =
-        drain(fds[0], pid, limits.deadline_seconds, deadline_hit);
-    ::close(fds[0]);
-    int status = 0;
-    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-    }
-    if (auto fault = classify_exit(status, deadline_hit)) return fault;
-    return decode_frame(frame, job.index, out);
+    return c.child.run(job.index, job.spec, injected, out,
+                       c.in_pass ? &fork_gate_ : nullptr);
   }
 
-  /// Child side: limits, armed ring, any injected fault, the body, then
-  /// the framed result down the pipe and _exit — never a return.
-  [[noreturn]] void run_child(
-      int fd, const CellJob& job, const SandboxLimits& limits,
-      support::FlightRecorder* ring,
-      const std::optional<support::failpoints::Hit>& injected) {
-    support::modelfault::set_sink_fd(fd);
-    apply_child_rlimits(limits);
-    // Arm the inherited MAP_SHARED ring: from here every breadcrumb the
-    // child drops is visible to the parent with no flush, however the
-    // child dies.
-    if (ring != nullptr) ring->arm();
-    // A cell_exec alloc= hit returns from execute_fatal and runs the cell
-    // under the injected memory pressure — the rlimit kill (or survival)
-    // is the behavior under test. Every other action dies here.
-    if (injected) support::failpoints::execute_fatal(*injected);
-    const support::modelfault::CellScope cell_scope(job.index);
-    ByteWriter payload;
-    campaign::serialize_checkpoint_cell(body(job), payload);
-    ByteWriter frame;
-    frame.u32(kSandboxFrameMagic);
-    frame.u32(static_cast<std::uint32_t>(payload.size()));
-    frame.u64(fnv1a(payload.data()));
-    frame.bytes(payload.data());
-    const auto& bytes = frame.data();
-    for (std::size_t off = 0; off < bytes.size();) {
-      const ::ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0) ::_exit(3);  // result undeliverable; parent records kExit
-      off += static_cast<std::size_t>(n);
+  /// Fork the worker's child from a built pooled slot, so the child
+  /// never constructs a stack of its own. Fork safety: the fork happens
+  /// under fork_gate_ held exclusively, so no other worker is running
+  /// parent-side code, and every lock it could hold (allocator locks
+  /// included) is free in the child. behaviors_mutex_ is held too, so
+  /// the child copies a whole behaviors_ map and never needs the lock.
+  bool spawn(std::size_t worker, const SandboxLimits& limits) {
+    if (pool_) (void)pool_->worker(worker);
+    Child& c = children_[worker];
+    if (c.in_pass) fork_gate_.unlock_shared();
+    bool spawned = false;
+    {
+      const std::lock_guard<std::shared_mutex> exclusive(fork_gate_);
+      const std::lock_guard<std::mutex> lock(behaviors_mutex_);
+      c.workloads = 0;
+      for (const auto& entry : behaviors_) c.workloads |= workload_bit(entry.first);
+      spawned = c.child.spawn(
+          limits, recorder(worker),
+          [this, worker](std::size_t index, const TestCaseSpec& spec) {
+            // Child side: the respawn rule sends this child only jobs
+            // whose workload its copy of behaviors_ holds.
+            return body({index, spec, behaviors_.at(spec.workload), worker});
+          });
     }
-    ::_exit(0);
-  }
-
-  /// Parent side: read the pipe to EOF; past the deadline SIGKILL the
-  /// child and keep draining — EOF follows the death.
-  static std::vector<std::uint8_t> drain(int fd, ::pid_t pid,
-                                         double deadline_seconds,
-                                         bool& deadline_hit) {
-    std::vector<std::uint8_t> buf;
-    const auto deadline =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(deadline_seconds));
-    for (;;) {
-      int timeout_ms = -1;
-      if (deadline_seconds > 0 && !deadline_hit) {
-        const auto remaining_ms =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                deadline - Clock::now())
-                .count();
-        timeout_ms =
-            static_cast<int>(std::clamp<long long>(remaining_ms, 0, INT_MAX));
-      }
-      struct ::pollfd pfd{fd, POLLIN, 0};
-      const int rc = ::poll(&pfd, 1, timeout_ms);
-      if (rc < 0 && errno == EINTR) continue;
-      if (rc < 0) break;
-      if (rc == 0) {
-        deadline_hit = true;
-        ::kill(pid, SIGKILL);
-        continue;
-      }
-      std::uint8_t chunk[4096];
-      const ::ssize_t n = ::read(fd, chunk, sizeof(chunk));
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) break;  // EOF: child finished writing or died
-      buf.insert(buf.end(), chunk, chunk + n);
-    }
-    return buf;
-  }
-
-  /// How the child ended; nullopt for a clean exit 0 (the frame decides).
-  static std::optional<HarnessFault> classify_exit(int status,
-                                                   bool deadline_hit) {
-    using Kind = HarnessFault::Kind;
-    if (deadline_hit) return HarnessFault{Kind::kDeadline, SIGKILL, {}};
-    if (WIFSIGNALED(status)) {
-      // RLIMIT_CPU kills with SIGXCPU at the soft limit — a resource
-      // classification, not a crash.
-      const int sig = WTERMSIG(status);
-      return HarnessFault{
-          sig == SIGXCPU ? Kind::kResourceExhausted : Kind::kSignal, sig, {}};
-    }
-    if (WIFEXITED(status) && WEXITSTATUS(status) == 0) return std::nullopt;
-    // The RLIMIT_AS new-handler and failpoints::execute_alloc both exit
-    // through the dedicated resource-exhaustion code.
-    const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-    return HarnessFault{code == support::failpoints::kResourceExhaustedExit
-                            ? Kind::kResourceExhausted
-                            : Kind::kExit,
-                        code, {}};
-  }
-
-  /// Exit 0: the frame must parse, checksum, and name this cell. Two
-  /// frames share the pipe shape: a result ("IRSB") or a structured
-  /// model fault ("IRMF"), told apart by the magic alone. Protocol
-  /// detail: 0 = bad frame, 1 = bad checksum, 2 = undecodable payload.
-  static std::optional<HarnessFault> decode_frame(
-      std::span<const std::uint8_t> buf, std::size_t i,
-      campaign::CheckpointCell* out) {
-    constexpr auto kModelMagic = support::modelfault::kModelFaultFrameMagic;
-    const auto protocol = [](int detail) {
-      return HarnessFault{HarnessFault::Kind::kProtocol, detail, {}};
-    };
-    ByteReader r(buf);
-    auto magic = r.u32();
-    auto len = r.u32();
-    auto checksum = r.u64();
-    if (!magic.ok() ||
-        (magic.value() != kSandboxFrameMagic && magic.value() != kModelMagic) ||
-        !len.ok() || !checksum.ok() || len.value() != r.remaining()) {
-      return protocol(0);
-    }
-    const std::span<const std::uint8_t> payload = buf.subspan(16);
-    if (fnv1a(payload) != checksum.value()) return protocol(1);
-    ByteReader pr(payload);
-    if (magic.value() == kModelMagic) {
-      auto fault = support::modelfault::deserialize_model_fault(pr);
-      if (!fault.ok() || !pr.exhausted()) return protocol(2);
-      return HarnessFault{HarnessFault::Kind::kModelFault, fault.value().code,
-                          fault.value().describe()};
-    }
-    auto cell = campaign::deserialize_checkpoint_cell(pr);
-    if (!cell.ok() || !pr.exhausted() || cell.value().index != i) {
-      return protocol(2);
-    }
-    if (out != nullptr) *out = std::move(cell).take();
-    return std::nullopt;
+    if (c.in_pass) fork_gate_.lock_shared();
+    if (spawned) support::metrics().add(spawns_);
+    return spawned;
   }
 
   const CampaignConfig& config_;
@@ -715,6 +574,15 @@ class CellExecutor {
   std::vector<std::unique_ptr<support::FlightRecorder>> recorders_;
   std::mutex behaviors_mutex_;
   std::map<guest::Workload, VmBehavior> behaviors_;
+  support::MetricId spawns_ = support::kInvalidMetric;
+  /// Held shared by every worker while it runs parent-side code, and
+  /// exclusively across fork(). A child inherits each lock as it was at
+  /// the fork and never sees its holder release it; not every lock is
+  /// fork-safe (under ASan, a child hung on an allocator mutex that a
+  /// sibling worker held while decoding its own child's result).
+  std::shared_mutex fork_gate_;
+  /// Declared last, so every child is reaped before the rest goes.
+  std::vector<Child> children_;
 };
 
 // --- Cell policy ---------------------------------------------------------
@@ -740,6 +608,15 @@ class CellPolicy {
 
   /// Worker `worker`'s fixed-stride share of the grid.
   void grid_pass(std::size_t worker, std::size_t workers) {
+    if (config_.sandbox_cells) {
+      // Record every behavior this worker's pending cells fuzz before its
+      // first cell, so its sandbox child is forked once, holding them all.
+      for (std::size_t i = worker; i < state_.grid.size(); i += workers) {
+        if (state_.done[i] == 0 && state_.poisoned[i] == 0) {
+          (void)exec_.behavior(state_.grid[i].workload, worker);
+        }
+      }
+    }
     for (std::size_t i = worker; i < state_.grid.size(); i += workers) {
       if (state_.done[i] != 0 || state_.poisoned[i] != 0) continue;
       if (stop_requested()) {
@@ -1286,14 +1163,17 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
   CellExecutor exec(config_, workers, state);
   CellPolicy policy(config_, state, exec, events);
   const auto started = Clock::now();
+  const auto pass = [&](std::size_t w) {
+    exec.begin_pass(w);
+    policy.grid_pass(w, workers);
+    exec.end_pass(w);
+  };
   if (workers == 1) {
-    policy.grid_pass(0, 1);
+    pass(0);
   } else {
     std::vector<std::thread> threads;
     threads.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      threads.emplace_back([&policy, w, workers] { policy.grid_pass(w, workers); });
-    }
+    for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(pass, w);
     for (auto& t : threads) t.join();
   }
   policy.reprobe_pass();

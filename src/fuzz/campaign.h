@@ -25,11 +25,12 @@
 // grid pass (worker threads) → re-probe pass → finalize (the merge
 // shared with campaign::reduce_journals) → crash archive. It drives
 // three internal pieces:
-//   - the cell executor runs one attempt of one cell, in-process or in a
-//     forked, watchdog-supervised sandbox child, and returns the result
-//     or a HarnessFault. It alone knows fork/pipe/watchdog, rlimits and
-//     the IRSB/IRMF result frames; both paths share one cell body, so a
-//     clean sandboxed cell is byte-identical to an in-process one.
+//   - the cell executor runs one attempt of one cell, in-process or in
+//     its worker's long-lived, watchdog-supervised sandbox child
+//     (fuzz/sandbox.h), and returns the result or a HarnessFault. It
+//     alone decides when a child is spawned, reused or retired; both
+//     paths share one cell body, so a clean sandboxed cell is
+//     byte-identical to an in-process one.
 //   - the cell policy owns what happens around attempts: jittered
 //     backoff, retry, quarantine, and the degraded end-of-run re-probe
 //     that rehabilitates or re-poisons. Both passes share one fault step
@@ -205,9 +206,11 @@ struct CampaignConfig {
   // where and how cells execute, never what a cell computes. A clean
   // sandboxed cell is proven byte-identical to in-process execution.
 
-  /// Execute each cell in a forked, watchdog-supervised child process.
-  /// A harness death (signal / nonzero exit / deadline / torn result
-  /// pipe) becomes a journaled HarnessFault instead of shard death.
+  /// Execute each cell in a watchdog-supervised child process: one
+  /// long-lived child per worker, forked once and fed cell after cell
+  /// (fuzz/sandbox.h). A harness death (signal / nonzero exit /
+  /// deadline / torn result frame / model fault) kills only that child
+  /// and becomes a journaled HarnessFault instead of shard death.
   /// Requires a v4 checkpoint journal when checkpointing is on.
   bool sandbox_cells = false;
   /// Watchdog deadline per sandboxed cell execution; past it the child
@@ -221,20 +224,23 @@ struct CampaignConfig {
   /// Base backoff before the first retry; doubles per attempt, jittered.
   double retry_base_backoff_ms = 10.0;
 
-  // --- Per-cell resource limits (PR 9). Applied inside the forked
-  // sandbox child *before* the cell body runs, so a memory-runaway or
+  // --- Per-cell resource limits (PR 9). Applied inside the sandbox
+  // child *before* the cell body runs, so a memory-runaway or
   // CPU-spinning model bug kills the child, not the shard host. A limit
   // kill is classified HarnessFault::Kind::kResourceExhausted. Like
   // every containment knob, excluded from the campaign fingerprint.
 
-  /// RLIMIT_CPU per sandboxed cell attempt, in seconds (soft = limit so
-  /// the kill signal is SIGXCPU; hard = limit + 1). 0 = off.
+  /// CPU seconds per sandboxed cell attempt. Before each job the child
+  /// sets its RLIMIT_CPU soft limit to the CPU time it has used so far
+  /// (rounded up) plus this budget, so the kill signal is SIGXCPU; the
+  /// hard limit is never lowered. 0 = off.
   std::uint64_t rlimit_cpu_seconds = 0;
-  /// RLIMIT_AS per sandboxed cell attempt, in MiB. 0 = off. Silently
-  /// skipped when rlimit_as_supported() is false (ASan builds reserve
-  /// terabytes of VA; capping it would kill every clean cell).
+  /// RLIMIT_AS of each sandbox child, set when it is spawned, in MiB.
+  /// 0 = off. Silently skipped when rlimit_as_supported() is false
+  /// (ASan builds reserve terabytes of VA; capping it would kill every
+  /// clean cell).
   std::uint64_t rlimit_as_mb = 0;
-  /// RLIMIT_CORE per sandboxed cell attempt, in MiB (0 disables core
+  /// RLIMIT_CORE of each sandbox child, in MiB (0 disables core
   /// dumps — a fuzzing fleet does not want a disk full of cores from
   /// faults it already classifies). -1 = leave the inherited limit.
   std::int64_t rlimit_core_mb = -1;
@@ -291,10 +297,11 @@ struct CampaignConfig {
   // and dark runs are byte-identical (asserted in tests and CI).
 
   /// Arm a per-cell support::FlightRecorder around cell execution. In
-  /// sandbox mode the forked child arms a recorder whose ring lives in
-  /// a MAP_SHARED mapping, so the parent can harvest breadcrumbs from
-  /// a child that died by SIGKILL; in-process workers arm a private
-  /// ring (the armed-overhead bench leg and byte-identity matrix).
+  /// sandbox mode the child resets and arms its worker's recorder at
+  /// each job start; the ring lives in a MAP_SHARED mapping, so the
+  /// parent can harvest breadcrumbs from a child that died by SIGKILL.
+  /// In-process workers arm a private ring (the armed-overhead bench
+  /// leg and byte-identity matrix).
   /// Implied by a non-empty forensics_dir.
   bool flight_recorder = false;
   /// On any HarnessFault, decode the dead child's ring and publish the

@@ -58,11 +58,16 @@ void PooledVm::reset(const vtx::VmxCapabilityProfile& profile) {
 #endif
 }
 
+VmPool::VmPool(std::size_t workers, std::uint64_t hv_seed,
+               double async_noise_prob)
+    : hv_seed_(hv_seed),
+      async_noise_prob_(async_noise_prob),
+      slots_(workers),
+      rebuilds_(support::metrics().counter_id("pool.rebuilds")) {}
+
 void VmPool::rebuild(std::size_t index) {
   slots_.at(index).reset();
-  auto& reg = support::metrics();
-  static const support::MetricId rebuilds = reg.counter_id("pool.rebuilds");
-  reg.add(rebuilds);
+  support::metrics().add(rebuilds_);
 }
 
 std::uint64_t PooledVm::fresh_digest(const vtx::VmxCapabilityProfile& profile) {

@@ -75,10 +75,9 @@ class PooledVm {
 /// locking is needed; the slot table never reallocates.
 class VmPool {
  public:
-  VmPool(std::size_t workers, std::uint64_t hv_seed, double async_noise_prob)
-      : hv_seed_(hv_seed),
-        async_noise_prob_(async_noise_prob),
-        slots_(workers) {}
+  /// Registers pool.rebuilds, so status snapshots carry it from the
+  /// start of a run, at 0 until a rebuild happens.
+  VmPool(std::size_t workers, std::uint64_t hv_seed, double async_noise_prob);
 
   [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
 
@@ -94,7 +93,8 @@ class VmPool {
   /// child: the parent's slot was never touched by the child (separate
   /// address space), but a harness that just died is exactly when "reset
   /// provably equals fresh" should be re-established from an actually
-  /// fresh stack rather than assumed. Counted as pool.rebuilds.
+  /// fresh stack rather than assumed; the worker's next sandbox child
+  /// forks from the rebuilt stack. Counted as pool.rebuilds.
   void rebuild(std::size_t index);
 
   /// Stacks actually constructed (observability for tests/benches).
@@ -108,6 +108,7 @@ class VmPool {
   std::uint64_t hv_seed_;
   double async_noise_prob_;
   std::vector<std::unique_ptr<PooledVm>> slots_;
+  std::uint32_t rebuilds_;  ///< support::MetricId of pool.rebuilds
 };
 
 }  // namespace iris::fuzz

@@ -80,7 +80,8 @@ class CellScope {
 std::uint64_t current_cell() noexcept;
 
 /// Install (fd >= 0) or remove (fd < 0) the contained-delivery sink.
-/// The sandbox child points this at its result pipe right after fork.
+/// The sandbox child points this at its socket to the parent when it
+/// is spawned.
 void set_sink_fd(int fd) noexcept;
 
 /// Deliver a model fault. With a sink installed: frame it onto the pipe
